@@ -196,8 +196,9 @@ impl ConvStats {
         b.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records wall-clock time spent in a phase (main-thread wall time
-    /// around the parallel region, not summed worker time).
+    /// Records wall-clock time spent in a phase by one worker job. Every
+    /// schedule adds per-job time, so a phase total is worker time summed
+    /// over jobs (it can exceed the layer's wall time on several threads).
     pub fn add_phase_ns(&self, phase: ConvPhase, ns: u64) {
         match phase {
             ConvPhase::Scatter => &self.scatter_ns,

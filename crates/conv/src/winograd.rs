@@ -384,17 +384,159 @@ impl BatchedFilters {
     }
 }
 
-/// `out[n×p] = a[n×k] · b[k×p]` on flat row-major buffers — the
-/// transform-sized (≤ α×α) matmul used inside scatter/gather workers, free
-/// of per-call allocation.
-fn matmul_flat(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, p: usize) {
-    for i in 0..n {
-        for j in 0..p {
-            let mut acc = 0.0f32;
-            for l in 0..k {
-                acc += a[i * k + l] * b[l * p + j];
+/// Lanes one transform product runs across: 8 tiles that sit next to each
+/// other in a `[..][t]` buffer, or 8 channels of one tile.
+const LANES: usize = 8;
+type Lane = [f32; LANES];
+
+/// A transform matrix (`Bᵀ` or `Aᵀ`) as per-row lists of its nonzero
+/// `(column, coefficient)` entries in ascending column order, built once
+/// per layer so the transform kernels never touch a zero coefficient.
+struct NzRows {
+    cols: usize,
+    rows: Vec<Vec<(usize, f32)>>,
+}
+
+impl NzRows {
+    fn new(t: &Mat<f32>) -> Self {
+        let rows = (0..t.rows())
+            .map(|i| {
+                (0..t.cols())
+                    .map(|j| (j, t.get(i, j)))
+                    .filter(|&(_, c)| c != 0.0)
+                    .collect()
+            })
+            .collect();
+        NzRows {
+            cols: t.cols(),
+            rows,
+        }
+    }
+
+    /// Multiply-adds of one two-sided product `T·X·Tᵀ`: `nnz` per column
+    /// of `X` for `T·X`, then `nnz` per row of `T·X` for `·Tᵀ`.
+    fn madds(&self) -> u64 {
+        let nnz: usize = self.rows.iter().map(Vec::len).sum();
+        (nnz * (self.cols + self.rows.len())) as u64
+    }
+}
+
+/// `dst = T·src·Tᵀ` on `LANES` independent tiles at once: `src` is a
+/// `cols × cols` tile, `tmp` receives `T·src` (`rows × cols`) and `dst`
+/// the `rows × rows` result, all row-major.
+///
+/// Bit-identical to the dense scalar products `(T·src)·Tᵀ` for finite
+/// inputs: every element sums its nonzero terms in ascending index order,
+/// one multiply then one add per term (never an FMA), starting from a
+/// +0.0 accumulator. Such an accumulator is never −0.0, so adding the
+/// skipped `0·x` terms (signed zeros) could not have changed it.
+#[inline(always)]
+fn lane_transform_body(t: &NzRows, src: &[Lane], tmp: &mut [Lane], dst: &mut [Lane]) {
+    let cols = t.cols;
+    for (i, row) in t.rows.iter().enumerate() {
+        for v in 0..cols {
+            let mut acc = [0.0f32; LANES];
+            for &(l, c) in row {
+                let x = &src[l * cols + v];
+                for (a, x) in acc.iter_mut().zip(x) {
+                    *a += c * x;
+                }
             }
-            out[i * p + j] = acc;
+            tmp[i * cols + v] = acc;
+        }
+    }
+    let rows = t.rows.len();
+    for (tmp_row, dst_row) in tmp
+        .chunks_exact(cols)
+        .zip(dst.chunks_exact_mut(rows))
+        .take(rows)
+    {
+        for (out, row) in dst_row.iter_mut().zip(&t.rows) {
+            let mut acc = [0.0f32; LANES];
+            for &(l, c) in row {
+                for (a, x) in acc.iter_mut().zip(&tmp_row[l]) {
+                    *a += x * c;
+                }
+            }
+            *out = acc;
+        }
+    }
+}
+
+/// [`lane_transform_body`] compiled with 256-bit lanes. Still a separate
+/// multiply and add per term — Rust never contracts them into an FMA.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_transform_avx2(t: &NzRows, src: &[Lane], tmp: &mut [Lane], dst: &mut [Lane]) {
+    lane_transform_body(t, src, tmp, dst)
+}
+
+/// Per-worker lane buffers for the transform kernels, `α²` lanes each,
+/// allocated once per worker so no job allocates.
+struct LaneBufs {
+    kernel: KernelChoice,
+    src: Vec<Lane>,
+    tmp: Vec<Lane>,
+    dst: Vec<Lane>,
+}
+
+impl LaneBufs {
+    fn new(kernel: KernelChoice, aa: usize) -> Self {
+        LaneBufs {
+            kernel,
+            src: vec![[0.0; LANES]; aa],
+            tmp: vec![[0.0; LANES]; aa],
+            dst: vec![[0.0; LANES]; aa],
+        }
+    }
+
+    /// `dst = T·src·Tᵀ` through the worker's [`KernelChoice`]: the
+    /// portable body is the oracle, the AVX2 build runs the same body.
+    fn transform(&mut self, t: &NzRows) {
+        let (src, tmp, dst) = (&self.src, &mut self.tmp, &mut self.dst);
+        match self.kernel {
+            KernelChoice::Scalar => lane_transform_body(t, src, tmp, dst),
+            #[cfg(target_arch = "x86_64")]
+            KernelChoice::Avx2 => {
+                debug_assert!(
+                    is_x86_feature_detected!("avx2"),
+                    "AVX2 kernel selected without CPUID"
+                );
+                // SAFETY: kernel selection only picks `Avx2` when the host
+                // supports it.
+                unsafe { lane_transform_avx2(t, src, tmp, dst) }
+            }
+        }
+    }
+
+    /// Fills the first `n` lanes of every `src` point from
+    /// `buf[uv·stride + base ..][..n]`. Full groups copy whole lanes,
+    /// whose fixed length compiles to vector moves.
+    fn load_lanes(&mut self, buf: &[f32], stride: usize, base: usize, n: usize) {
+        for (uv, x) in self.src.iter_mut().enumerate() {
+            let at = uv * stride + base;
+            if n == LANES {
+                x.copy_from_slice(&buf[at..at + LANES]);
+            } else {
+                x[..n].copy_from_slice(&buf[at..at + n]);
+            }
+        }
+    }
+
+    /// Stores the first `n` lanes of every `dst` point to
+    /// `buf[uv·stride + base ..][..n]`, whole lanes when the group is full.
+    fn store_lanes(&self, buf: &mut [f32], stride: usize, base: usize, n: usize) {
+        for (uv, y) in self.dst.iter().enumerate() {
+            let at = uv * stride + base;
+            if n == LANES {
+                buf[at..at + LANES].copy_from_slice(y);
+            } else {
+                buf[at..at + n].copy_from_slice(&y[..n]);
+            }
         }
     }
 }
@@ -482,6 +624,7 @@ impl BankRef<'_> {
     /// into `c`, dense or sparse. Accumulation association is identical
     /// across the two arms (same `KC` blocking), so a density-1000
     /// sparse bank is bit-identical to its dense counterpart.
+    #[allow(clippy::too_many_arguments)] // a GEMM's operands plus observability
     fn gemm_plane(
         &self,
         scratch: &mut GemmScratch,
@@ -531,10 +674,9 @@ struct WinoCtx<'a> {
     m: usize,
     alpha: usize,
     aa: usize,
-    b_t: Vec<f32>,
-    b: Vec<f32>,
-    a_t: Vec<f32>,
-    a: Vec<f32>,
+    /// `Bᵀ` (scatter) and `Aᵀ` (gather) as nonzero lists.
+    b_nz: NzRows,
+    a_nz: NzRows,
     batch: usize,
     in_c: usize,
     out_c: usize,
@@ -546,15 +688,59 @@ struct WinoCtx<'a> {
     p_total: usize,
 }
 
+impl WinoCtx<'_> {
+    /// Input coordinates `(h0, w0)` of tile `t`'s top-left corner within
+    /// its image (negative inside the padding).
+    fn tile_origin(&self, t: usize) -> (isize, isize) {
+        let h0 = ((t / self.tiles_w) * self.m) as isize - self.pad;
+        let w0 = ((t % self.tiles_w) * self.m) as isize - self.pad;
+        (h0, w0)
+    }
+
+    /// Loads the `α×α` input tile at `(h0, w0)` of image `bn`, channel `c`
+    /// into lane `lane` of `d`. Interior tiles copy `α` row slices; only
+    /// border tiles go through [`Tensor::get_padded`].
+    fn load_tile(
+        &self,
+        bn: usize,
+        c: usize,
+        (h0, w0): (isize, isize),
+        d: &mut [Lane],
+        lane: usize,
+    ) {
+        let (alpha, h, w) = (self.alpha, self.input.h(), self.input.w());
+        let rows = d.chunks_exact_mut(alpha).take(alpha);
+        if h0 >= 0 && w0 >= 0 && h0 as usize + alpha <= h && w0 as usize + alpha <= w {
+            let plane = &self.input.as_slice()[(bn * self.in_c + c) * h * w..];
+            let (h0, w0) = (h0 as usize, w0 as usize);
+            for (u, d_row) in rows.enumerate() {
+                let src = &plane[(h0 + u) * w + w0..][..alpha];
+                for (slot, &x) in d_row.iter_mut().zip(src) {
+                    slot[lane] = x;
+                }
+            }
+        } else {
+            for (u, d_row) in rows.enumerate() {
+                for (v, slot) in d_row.iter_mut().enumerate() {
+                    slot[lane] = self
+                        .input
+                        .get_padded(bn, c, h0 + u as isize, w0 + v as isize);
+                }
+            }
+        }
+    }
+}
+
 /// Schedule-invariant phase accounting: flops and bytes depend only on
 /// the layer shape, never on how the work was partitioned, so profiles
 /// taken under different schedules (or thread counts) reconcile exactly.
 fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
-    let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
+    let aa = cx.aa;
     s.add_tiles(cx.p_total as u64);
-    // Scatter, per (tile, channel): two α×α·α×α products (Bᵀ·d, then ·B);
-    // input tile elements read + transformed elements written.
-    let scatter_flops = (cx.p_total * cx.in_c) as u64 * 4 * (alpha * alpha * alpha) as u64;
+    // Scatter, per (tile, channel): one Bᵀ·d·B over Bᵀ's nonzeros, two
+    // flops per multiply-add; input tile elements read + transformed
+    // elements written.
+    let scatter_flops = (cx.p_total * cx.in_c) as u64 * 2 * cx.b_nz.madds();
     let scatter_bytes = 8 * (cx.p_total * aa * cx.in_c) as u64;
     s.add_phase(ConvPhase::Scatter, scatter_flops, scatter_bytes);
     // GEMM: 2·N·C·P multiply-adds per transform point (dense), or
@@ -565,13 +751,11 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
         BankRef::Sparse(f) => f.nnz_total(),
     };
     let gemm_flops = 2 * a_elems * cx.p_total as u64;
-    let gemm_bytes =
-        4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
+    let gemm_bytes = 4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
     s.add_phase(ConvPhase::Gemm, gemm_flops, gemm_bytes);
-    // Gather, per (output channel, tile): Aᵀ·M (m×α·α×α) then ·A (m×α·α×m);
+    // Gather, per (output channel, tile): one Aᵀ·M·A over Aᵀ's nonzeros;
     // transform-domain elements read + output elements written.
-    let per_tile = (2 * m * alpha * alpha + 2 * m * m * alpha) as u64;
-    let gather_flops = (cx.out_c * cx.p_total) as u64 * per_tile;
+    let gather_flops = (cx.out_c * cx.p_total) as u64 * 2 * cx.a_nz.madds();
     let gather_bytes =
         4 * (aa * cx.out_c * cx.p_total + cx.batch * cx.out_c * cx.oh * cx.ow) as u64;
     s.add_phase(ConvPhase::Gather, gather_flops, gather_bytes);
@@ -757,10 +941,8 @@ fn run_batched(
         m,
         alpha,
         aa: alpha * alpha,
-        b_t: transform.b_t_f32().as_slice().to_vec(),
-        b: transform.b_t_f32().transpose().as_slice().to_vec(),
-        a_t: transform.a_t_f32().as_slice().to_vec(),
-        a: transform.a_t_f32().transpose().as_slice().to_vec(),
+        b_nz: NzRows::new(&transform.b_t_f32()),
+        a_nz: NzRows::new(&transform.a_t_f32()),
         batch,
         in_c,
         out_c,
@@ -796,173 +978,141 @@ fn run_batched(
 
 /// The barrier schedule: three pool invocations (scatter / GEMM / gather)
 /// with one GEMM job per transform point. GEMMs run against the bank's
-/// pre-packed `A` panels, so no job re-packs filter coefficients.
+/// pre-packed `A` panels, so no job re-packs filter coefficients. Each
+/// job adds its own time to its phase, as under the tile-block schedule.
 fn run_transform_point(
     cx: &WinoCtx<'_>,
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
 ) -> Result<Tensor<f32>, ConvError> {
-    let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
+    let (m, aa) = (cx.m, cx.aa);
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
-    let (oh, ow, pad) = (cx.oh, cx.ow, cx.pad);
+    let (oh, ow) = (cx.oh, cx.ow);
     let (tiles_w, tiles_per_img, p_total) = (cx.tiles_w, cx.tiles_per_img, cx.p_total);
-    let (input, threads) = (cx.input, cx.threads);
+    let (threads, kernel) = (cx.threads, cx.kernel);
+    let add_job_ns = |phase: ConvPhase, t0: Option<Instant>| {
+        if let (Some(s), Some(t0)) = (stats, t0) {
+            s.add_phase_ns(phase, t0.elapsed().as_nanos() as u64);
+        }
+    };
 
     // Phase 1 — scatter: V[p][u·α+v][c] = (Bᵀ·d·B)[u][v] for tile p,
     // channel c. The [p][uv][c] layout makes each tile chunk a contiguous
-    // write region.
+    // write region; lanes run across 8 channels of one tile, so each
+    // transformed point stores as one contiguous run.
     let mut v_buf = vec![0.0f32; p_total * aa * in_c];
-    {
-        let t_phase = stats.map(|_| Instant::now());
-        let slices = winofuse_runtime::split_chunks(&mut v_buf, TILE_CHUNK * aa * in_c);
-        winofuse_runtime::run_sliced_jobs_isolated(
-            threads,
-            slices,
-            &prof.scoped("wino.scatter"),
-            || (vec![0.0f32; aa], vec![0.0f32; aa], vec![0.0f32; aa]),
-            |(d, t1, t2), job, slice| {
-                let p0 = job * TILE_CHUNK;
-                for (local, chunk) in slice.chunks_exact_mut(aa * in_c).enumerate() {
-                    let p = p0 + local;
-                    let bn = p / tiles_per_img;
-                    let t = p % tiles_per_img;
-                    let h0 = ((t / tiles_w) * m) as isize - pad;
-                    let w0 = ((t % tiles_w) * m) as isize - pad;
-                    for c in 0..in_c {
-                        for u in 0..alpha {
-                            for v in 0..alpha {
-                                d[u * alpha + v] =
-                                    input.get_padded(bn, c, h0 + u as isize, w0 + v as isize);
-                            }
-                        }
-                        matmul_flat(&cx.b_t, d, t1, alpha, alpha, alpha);
-                        matmul_flat(t1, &cx.b, t2, alpha, alpha, alpha);
-                        for uv in 0..aa {
-                            chunk[uv * in_c + c] = t2[uv];
-                        }
+    winofuse_runtime::run_sliced_jobs_isolated(
+        threads,
+        winofuse_runtime::split_chunks(&mut v_buf, TILE_CHUNK * aa * in_c),
+        &prof.scoped("wino.scatter"),
+        || LaneBufs::new(kernel, aa),
+        |lanes, job, slice| {
+            let t_job = stats.map(|_| Instant::now());
+            for (local, chunk) in slice.chunks_exact_mut(aa * in_c).enumerate() {
+                let p = job * TILE_CHUNK + local;
+                let (bn, origin) = (p / tiles_per_img, cx.tile_origin(p % tiles_per_img));
+                for c0 in (0..in_c).step_by(LANES) {
+                    let n = LANES.min(in_c - c0);
+                    for lane in 0..n {
+                        cx.load_tile(bn, c0 + lane, origin, &mut lanes.src, lane);
                     }
+                    lanes.transform(&cx.b_nz);
+                    lanes.store_lanes(chunk, in_c, c0, n);
                 }
-            },
-        )?;
-        if let (Some(s), Some(t0)) = (stats, t_phase) {
-            s.add_phase_ns(ConvPhase::Scatter, t0.elapsed().as_nanos() as u64);
-        }
-    }
+            }
+            add_job_ns(ConvPhase::Scatter, t_job);
+        },
+    )?;
 
     // Phase 2 — α² GEMMs: M[uv][k][p] = Σ_c U_uv[k][c] · V_uv[c][p].
     // One job per transform point over the full output-channel range, so
     // each job runs exactly one prepacked GEMM; the [uv][k][p] layout
     // makes each job's rows a contiguous write region.
     let mut m_buf = vec![0.0f32; aa * out_c * p_total];
-    {
-        let slices = winofuse_runtime::split_chunks(&mut m_buf, out_c * p_total);
-        let v_ref = &v_buf;
-        let t_phase = stats.map(|_| Instant::now());
-        let kernel = cx.kernel;
-        winofuse_runtime::run_sliced_jobs_isolated(
-            threads,
-            slices,
-            &prof.scoped("wino.gemm"),
-            move || GemmScratch::with_kernel(kernel),
-            |scratch, uv, slice| {
-                // B operand: V_uv is [in_c × p_total] with element (c, p)
-                // at V[p·α²·in_c + uv·in_c + c].
-                let b_op = BOperand::strided(&v_ref[uv * in_c..], 1, aa * in_c);
-                cx.bank
-                    .gemm_plane(scratch, uv, p_total, b_op, slice, cx.timed, stats);
-            },
-        )?;
-        if let (Some(s), Some(t0)) = (stats, t_phase) {
-            s.add_phase_ns(ConvPhase::Gemm, t0.elapsed().as_nanos() as u64);
-        }
-    }
+    let v_ref = &v_buf;
+    winofuse_runtime::run_sliced_jobs_isolated(
+        threads,
+        winofuse_runtime::split_chunks(&mut m_buf, out_c * p_total),
+        &prof.scoped("wino.gemm"),
+        move || GemmScratch::with_kernel(kernel),
+        |scratch, uv, slice| {
+            let t_job = stats.map(|_| Instant::now());
+            // B operand: V_uv is [in_c × p_total] with element (c, p)
+            // at V[p·α²·in_c + uv·in_c + c].
+            let b_op = BOperand::strided(&v_ref[uv * in_c..], 1, aa * in_c);
+            cx.bank
+                .gemm_plane(scratch, uv, p_total, b_op, slice, cx.timed, stats);
+            add_job_ns(ConvPhase::Gemm, t_job);
+        },
+    )?;
     drop(v_buf);
 
     // Phase 3 — gather: Y = Aᵀ·M_tile·A per (output channel, tile), with
     // edge clipping. Jobs are (batch, output-channel block) pairs writing
-    // contiguous channel planes of the NCHW output.
+    // contiguous channel planes of the NCHW output; lanes run across 8
+    // tiles, which sit next to each other in M's [uv][k][p] layout.
     let mut out = Tensor::zeros(batch, out_c, oh, ow);
-    {
-        let k_blocks: Vec<(usize, usize)> = (0..out_c)
-            .step_by(GATHER_K_BLOCK)
-            .map(|k0| (k0, GATHER_K_BLOCK.min(out_c - k0)))
-            .collect();
-        let lengths: Vec<usize> = (0..batch)
-            .flat_map(|_| k_blocks.iter().map(|&(_, kb)| kb * oh * ow))
-            .collect();
-        let slices = winofuse_runtime::split_lengths(out.as_mut_slice(), &lengths);
-        let m_ref = &m_buf;
-        let t_phase = stats.map(|_| Instant::now());
-        winofuse_runtime::run_sliced_jobs_isolated(
-            threads,
-            slices,
-            &prof.scoped("wino.gather"),
-            || {
-                (
-                    vec![0.0f32; aa],
-                    vec![0.0f32; m * alpha],
-                    vec![0.0f32; m * m],
-                )
-            },
-            |(m_tile, t1, y), job, slice| {
-                let bn = job / k_blocks.len();
-                let (k0, kb) = k_blocks[job % k_blocks.len()];
-                for k in k0..k0 + kb {
-                    let plane = &mut slice[(k - k0) * oh * ow..(k - k0 + 1) * oh * ow];
-                    for t in 0..tiles_per_img {
-                        let p = bn * tiles_per_img + t;
-                        for (uv, slot) in m_tile.iter_mut().enumerate() {
-                            *slot = m_ref[(uv * out_c + k) * p_total + p];
-                        }
-                        matmul_flat(&cx.a_t, m_tile, t1, m, alpha, alpha);
-                        matmul_flat(t1, &cx.a, y, m, alpha, m);
-                        let (th, tw) = (t / tiles_w, t % tiles_w);
-                        for u in 0..m {
-                            let oi = th * m + u;
-                            if oi >= oh {
-                                break;
-                            }
-                            for v in 0..m {
-                                let oj = tw * m + v;
-                                if oj >= ow {
-                                    break;
-                                }
-                                plane[oi * ow + oj] = y[u * m + v];
+    let k_blocks: Vec<(usize, usize)> = (0..out_c)
+        .step_by(GATHER_K_BLOCK)
+        .map(|k0| (k0, GATHER_K_BLOCK.min(out_c - k0)))
+        .collect();
+    let lengths: Vec<usize> = (0..batch)
+        .flat_map(|_| k_blocks.iter().map(|&(_, kb)| kb * oh * ow))
+        .collect();
+    let m_ref = &m_buf;
+    winofuse_runtime::run_sliced_jobs_isolated(
+        threads,
+        winofuse_runtime::split_lengths(out.as_mut_slice(), &lengths),
+        &prof.scoped("wino.gather"),
+        || LaneBufs::new(kernel, aa),
+        |lanes, job, slice| {
+            let t_job = stats.map(|_| Instant::now());
+            let bn = job / k_blocks.len();
+            let (k0, kb) = k_blocks[job % k_blocks.len()];
+            for (k, plane) in (k0..k0 + kb).zip(slice.chunks_exact_mut(oh * ow)) {
+                for t0 in (0..tiles_per_img).step_by(LANES) {
+                    let n = LANES.min(tiles_per_img - t0);
+                    let base = k * p_total + bn * tiles_per_img + t0;
+                    lanes.load_lanes(m_ref, out_c * p_total, base, n);
+                    lanes.transform(&cx.a_nz);
+                    for lane in 0..n {
+                        let t = t0 + lane;
+                        let (oi, oj) = ((t / tiles_w) * m, (t % tiles_w) * m);
+                        let cols = m.min(ow - oj);
+                        for u in 0..m.min(oh - oi) {
+                            let row = &mut plane[(oi + u) * ow + oj..][..cols];
+                            for (o, y) in row.iter_mut().zip(&lanes.dst[u * m..]) {
+                                *o = y[lane];
                             }
                         }
                     }
                 }
-            },
-        )?;
-        if let (Some(s), Some(t0)) = (stats, t_phase) {
-            s.add_phase_ns(ConvPhase::Gather, t0.elapsed().as_nanos() as u64);
-        }
-    }
+            }
+            add_job_ns(ConvPhase::Gather, t_job);
+        },
+    )?;
     Ok(out)
 }
 
-/// Thread-local working set for one tile-block worker: GEMM scratch plus
-/// every transform buffer, sized once for the largest block so the fused
-/// scatter → GEMM → gather loop never allocates.
+/// Thread-local working set for one tile-block worker: GEMM scratch, the
+/// block's `V`/`M` buffers and the transform lanes, sized once for the
+/// largest block so the fused scatter → GEMM → gather loop never
+/// allocates.
 struct TileBlockScratch {
     gemm: GemmScratch,
-    d: Vec<f32>,
-    t1: Vec<f32>,
-    t2: Vec<f32>,
     /// Transformed tiles, `[uv][c][t]` with stride = this block's tile
     /// count — the GEMM `B` operand is a contiguous row-major slice per uv.
     v: Vec<f32>,
     /// GEMM results, `[uv][k][t]` with the same stride.
     mbuf: Vec<f32>,
-    m_tile: Vec<f32>,
-    g1: Vec<f32>,
-    y: Vec<f32>,
+    lanes: LaneBufs,
 }
 
 /// The fused schedule: one pool invocation; each job owns a contiguous
 /// block of [`WINO_TILE_BLOCK`] tiles within one image and runs
 /// scatter → α² prepacked GEMMs → gather over its block with thread-local
 /// buffers. No barriers, no shared `V`/`M` round-trips through memory.
+/// Both transforms run their lanes across 8 adjacent tiles of the block.
 ///
 /// Output ownership: a block's tiles are contiguous in `p`, so within any
 /// output row the block owns exactly one contiguous column span —
@@ -973,11 +1123,11 @@ fn run_tile_block(
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
 ) -> Result<Tensor<f32>, ConvError> {
-    let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
+    let (m, aa) = (cx.m, cx.aa);
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
-    let (oh, ow, pad) = (cx.oh, cx.ow, cx.pad);
+    let (oh, ow) = (cx.oh, cx.ow);
     let (tiles_w, tiles_per_img) = (cx.tiles_w, cx.tiles_per_img);
-    let (input, threads, timed) = (cx.input, cx.threads, cx.timed);
+    let (threads, timed) = (cx.threads, cx.timed);
     let tb = WINO_TILE_BLOCK;
     let blocks_per_img = tiles_per_img.div_ceil(tb);
     let n_jobs = batch * blocks_per_img;
@@ -1009,26 +1159,16 @@ fn run_tile_block(
         &prof.scoped("wino.tileblock"),
         move || TileBlockScratch {
             gemm: GemmScratch::with_kernel(kernel),
-            d: vec![0.0; aa],
-            t1: vec![0.0; aa],
-            t2: vec![0.0; aa],
             v: vec![0.0; aa * in_c * tb],
             mbuf: vec![0.0; aa * out_c * tb],
-            m_tile: vec![0.0; aa],
-            g1: vec![0.0; m * alpha],
-            y: vec![0.0; m * m],
+            lanes: LaneBufs::new(kernel, aa),
         },
         |st, job, frags| {
             let TileBlockScratch {
                 gemm,
-                d,
-                t1,
-                t2,
                 v,
                 mbuf,
-                m_tile,
-                g1,
-                y,
+                lanes,
             } = st;
             let bn = job / blocks_per_img;
             let blk = job % blocks_per_img;
@@ -1040,22 +1180,18 @@ fn run_tile_block(
             let t_job = stats.map(|_| Instant::now());
 
             // Scatter this block's tiles into the thread-local V.
-            for t_local in 0..nt {
-                let p = p_lo + t_local;
-                let h0 = ((p / tiles_w) * m) as isize - pad;
-                let w0 = ((p % tiles_w) * m) as isize - pad;
-                for c in 0..in_c {
-                    for u in 0..alpha {
-                        for vv in 0..alpha {
-                            d[u * alpha + vv] =
-                                input.get_padded(bn, c, h0 + u as isize, w0 + vv as isize);
-                        }
+            let mut origins = [(0isize, 0isize); WINO_TILE_BLOCK];
+            for (t_local, o) in origins[..nt].iter_mut().enumerate() {
+                *o = cx.tile_origin(p_lo + t_local);
+            }
+            for c in 0..in_c {
+                for g0 in (0..nt).step_by(LANES) {
+                    let n = LANES.min(nt - g0);
+                    for (lane, &origin) in origins[g0..g0 + n].iter().enumerate() {
+                        cx.load_tile(bn, c, origin, &mut lanes.src, lane);
                     }
-                    matmul_flat(&cx.b_t, d, t1, alpha, alpha, alpha);
-                    matmul_flat(t1, &cx.b, t2, alpha, alpha, alpha);
-                    for uv in 0..aa {
-                        v[(uv * in_c + c) * nt + t_local] = t2[uv];
-                    }
+                    lanes.transform(&cx.b_nz);
+                    lanes.store_lanes(v, in_c * nt, c * nt + g0, n);
                 }
             }
             let t_scattered = stats.map(|_| Instant::now());
@@ -1077,31 +1213,36 @@ fn run_tile_block(
 
             // Gather with edge clipping into this job's output fragments,
             // which arrive (k-major, row-minor): frags[k·rows + local_row].
+            // A tile's rows start at local row (th − th_first)·m, and its
+            // columns at (tw − tw_lo)·m within its tile row's span.
             let th_first = p_lo / tiles_w;
             let th_last = (p_hi - 1) / tiles_w;
             let rows_covered: usize = (th_first..=th_last).map(|th| m.min(oh - th * m)).sum();
-            for k in 0..out_c {
-                let mut row_base = 0usize;
-                for th in th_first..=th_last {
-                    let rows_here = m.min(oh - th * m);
-                    let p_row0 = th * tiles_w;
-                    let tw_lo = p_lo.max(p_row0) - p_row0;
-                    let tw_hi = p_hi.min(p_row0 + tiles_w) - p_row0;
-                    for tw in tw_lo..tw_hi {
-                        let t_local = p_row0 + tw - p_lo;
-                        for (uv, slot) in m_tile.iter_mut().enumerate() {
-                            *slot = mbuf[(uv * out_c + k) * nt + t_local];
-                        }
-                        matmul_flat(&cx.a_t, m_tile, g1, m, alpha, alpha);
-                        matmul_flat(g1, &cx.a, y, m, alpha, m);
-                        let cols = m.min(ow - tw * m);
-                        let col0 = (tw - tw_lo) * m;
-                        for u in 0..rows_here {
-                            frags[k * rows_covered + row_base + u][col0..col0 + cols]
-                                .copy_from_slice(&y[u * m..u * m + cols]);
+            let mut places = [(0usize, 0usize, 0usize, 0usize); WINO_TILE_BLOCK];
+            for (t_local, place) in places[..nt].iter_mut().enumerate() {
+                let p = p_lo + t_local;
+                let (th, tw) = (p / tiles_w, p % tiles_w);
+                let tw_lo = p_lo.max(th * tiles_w) - th * tiles_w;
+                *place = (
+                    (th - th_first) * m,
+                    (tw - tw_lo) * m,
+                    m.min(oh - th * m),
+                    m.min(ow - tw * m),
+                );
+            }
+            for (k, k_frags) in frags.chunks_exact_mut(rows_covered).enumerate() {
+                for g0 in (0..nt).step_by(LANES) {
+                    let n = LANES.min(nt - g0);
+                    lanes.load_lanes(mbuf, out_c * nt, k * nt + g0, n);
+                    lanes.transform(&cx.a_nz);
+                    for (lane, &(row0, col0, rows, cols)) in places[g0..g0 + n].iter().enumerate() {
+                        for u in 0..rows {
+                            let row = &mut k_frags[row0 + u][col0..col0 + cols];
+                            for (o, y) in row.iter_mut().zip(&lanes.dst[u * m..]) {
+                                *o = y[lane];
+                            }
                         }
                     }
-                    row_base += rows_here;
                 }
             }
             if let (Some(s), Some(t0), Some(ts), Some(tg)) = (stats, t_job, t_scattered, t_gemmed) {
@@ -1547,6 +1688,31 @@ mod tests {
         assert_eq!(a.bytes_gemm, b.bytes_gemm);
         assert_eq!(a.bytes_gather, b.bytes_gather);
         assert_eq!(a.tiles, b.tiles);
+        // Both schedules time every job of every phase.
+        for p in [a, b] {
+            assert!(
+                p.scatter_ns > 0 && p.gemm_ns > 0 && p.gather_ns > 0,
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn transform_flops_count_nonzero_coefficients() {
+        // F(2,3): Bᵀ has 8 of 16 entries nonzero, Aᵀ 6 of 8. Per
+        // (tile, channel) the scatter does 8·(4 + 4) multiply-adds, per
+        // (channel, tile) the gather 6·(4 + 2).
+        let geom = ConvGeometry::rect(6, 6, 3, 1, 1).unwrap();
+        let x = random_tensor(1, 3, 6, 6, 3);
+        let k = random_tensor(5, 3, 3, 3, 4);
+        let t = f23();
+        let filters = BatchedFilters::new(&k, &t).unwrap();
+        let stats = ConvStats::new();
+        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        let p = stats.profile();
+        let tiles = 9;
+        assert_eq!(p.flops_scatter, tiles * 3 * 2 * 8 * 8);
+        assert_eq!(p.flops_gather, tiles * 5 * 2 * 6 * 6);
     }
 
     #[test]

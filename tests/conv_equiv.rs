@@ -9,9 +9,10 @@
 //! (wide-integer accumulation is order-independent).
 
 use proptest::prelude::*;
-use winofuse::conv::cook_toom::f43;
+use winofuse::conv::cook_toom::{f43, WinogradTransform};
 use winofuse::conv::fixed::Fix16;
 use winofuse::conv::microkernel::KernelChoice;
+use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
 use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
@@ -274,5 +275,139 @@ fn odd_geometries_batched_winograd() {
             "{h}x{w} pad {pad}: max diff {}",
             fast.max_abs_diff(&naive).unwrap()
         );
+    }
+}
+
+// --- Transform-kernel oracle matrix --------------------------------------
+//
+// The scatter and gather transforms run over nonzero coefficient lists on
+// 8 lanes (tiles or channels). They must reproduce, bit for bit, the dense
+// scalar products a naive per-tile implementation computes — every
+// coefficient, ascending order, one multiply then one add from +0.0 —
+// for every transform size, remainder lane count, padding, schedule and
+// kernel.
+
+/// `a[n×k] · b[k×p]`, row-major, dense and in ascending `k`.
+fn dense_matmul(a: &[f32], b: &[f32], n: usize, k: usize, p: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * p];
+    for i in 0..n {
+        for j in 0..p {
+            let mut acc = 0.0f32;
+            for l in 0..k {
+                acc += a[i * k + l] * b[l * p + j];
+            }
+            out[i * p + j] = acc;
+        }
+    }
+    out
+}
+
+/// Per-tile scalar Winograd: `V = Bᵀ·d·B` per channel, `M = Σ_c U ⊙ V` in
+/// ascending channel order, `Y = Aᵀ·M·A`, clipped at the edges. With
+/// `in_c` inside one GEMM `KC` block this is the association the batched
+/// path uses, so the two agree exactly.
+fn naive_scalar_winograd(
+    x: &Tensor<f32>,
+    kr: &Tensor<f32>,
+    geom: ConvGeometry,
+    t: &WinogradTransform,
+) -> Tensor<f32> {
+    let (m, alpha) = (t.m(), t.alpha());
+    let (b_t, a_t) = (t.b_t_f32(), t.a_t_f32());
+    let (b, a) = (b_t.transpose(), a_t.transpose());
+    let u = winograd::TransformedFilters::new(kr, t).unwrap();
+    let (batch, in_c, _, _) = x.shape();
+    let out_c = kr.n();
+    let (oh, ow) = (geom.output_height(), geom.output_width());
+    let pad = geom.pad() as isize;
+    let mut out = Tensor::zeros(batch, out_c, oh, ow);
+    for bn in 0..batch {
+        for th in 0..oh.div_ceil(m) {
+            for tw in 0..ow.div_ceil(m) {
+                let (h0, w0) = ((th * m) as isize - pad, (tw * m) as isize - pad);
+                let v: Vec<Vec<f32>> = (0..in_c)
+                    .map(|c| {
+                        let d: Vec<f32> = (0..alpha * alpha)
+                            .map(|i| {
+                                let (du, dv) = ((i / alpha) as isize, (i % alpha) as isize);
+                                x.get_padded(bn, c, h0 + du, w0 + dv)
+                            })
+                            .collect();
+                        let t1 = dense_matmul(b_t.as_slice(), &d, alpha, alpha, alpha);
+                        dense_matmul(&t1, b.as_slice(), alpha, alpha, alpha)
+                    })
+                    .collect();
+                for n in 0..out_c {
+                    let mt: Vec<f32> = (0..alpha * alpha)
+                        .map(|uv| {
+                            let mut acc = 0.0f32;
+                            for (c, vc) in v.iter().enumerate() {
+                                acc += u.bank(n, c).as_slice()[uv] * vc[uv];
+                            }
+                            acc
+                        })
+                        .collect();
+                    let g1 = dense_matmul(a_t.as_slice(), &mt, m, alpha, alpha);
+                    let y = dense_matmul(&g1, a.as_slice(), m, alpha, m);
+                    for du in 0..m.min(oh - th * m) {
+                        for dv in 0..m.min(ow - tw * m) {
+                            out.set(bn, n, th * m + du, tw * m + dv, y[du * m + dv]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Dense and density-1000 sparse banks, both schedules, every
+    /// supported kernel: bitwise equal to the naive scalar transforms.
+    /// Tile counts and `in_c` range over non-multiples of 8, so partial
+    /// lane groups run on both lane axes.
+    #[test]
+    fn lane_transforms_match_naive_scalar(
+        m_idx in 0usize..3,
+        batch in 1usize..3,
+        h in 5usize..23,
+        w in 5usize..23,
+        pad in 0usize..3,
+        in_c in 1usize..20,
+        out_c in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let m = [2usize, 4, 6][m_idx];
+        let t = WinogradTransform::generate(m, 3).unwrap();
+        let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
+        let x = random_tensor(batch, in_c, h, w, seed);
+        let kr = random_tensor(out_c, in_c, 3, 3, seed + 19);
+        let oracle = naive_scalar_winograd(&x, &kr, geom, &t);
+        let dense = BatchedFilters::new(&kr, &t).unwrap();
+        let sparse = SparseFilters::new(&kr, &t, 1000).unwrap();
+        let prof = PoolProfiler::disabled();
+        for kernel in KernelChoice::all_supported() {
+            for schedule in [WinoSchedule::TransformPoint, WinoSchedule::TileBlock] {
+                let opts = BatchedOptions { schedule, kernel: Some(kernel) };
+                let y = winograd::conv2d_batched_ext(
+                    &x, &dense, geom, &t, 2, None, &prof, opts,
+                ).unwrap();
+                prop_assert_eq!(
+                    &y, &oracle,
+                    "dense F({},3) {} under {:?} diverges from the scalar transforms",
+                    m, kernel.name(), schedule
+                );
+                let ys = winograd::conv2d_batched_sparse_ext(
+                    &x, &sparse, geom, &t, 2, None, &prof, opts,
+                ).unwrap();
+                prop_assert_eq!(
+                    &ys, &oracle,
+                    "sparse F({},3) {} under {:?} diverges from the scalar transforms",
+                    m, kernel.name(), schedule
+                );
+            }
+        }
     }
 }
