@@ -12,6 +12,10 @@
 //!   256-bit lane register and issues `_mm256_mul_ps` + `_mm256_add_ps` in
 //!   the same ascending-`k` order — IEEE-754 lane arithmetic is identical
 //!   to the scalar sequence, so every output bit matches.
+//! * **FC panel** — [`MicroKernel::fc_panel_f32`] holds 32 output rows
+//!   of a packed fully connected layer; the scalar body adds `w·x` per
+//!   row for ascending input index, and the AVX2 body runs the same
+//!   multiply and add on four 8-lane registers.
 //! * **fix16 span** — products of raw Q8.8 values accumulate exactly in
 //!   64-bit integers; integer addition is associative, so *any* lane
 //!   arrangement is exact. The AVX2 span widens `i16 → i32` products into
@@ -23,6 +27,7 @@
 
 use crate::fixed::Fix16;
 use crate::gemm::{MR, NR};
+use crate::ops::FC_PANEL;
 use std::sync::OnceLock;
 
 /// One register-tiled GEMM microkernel implementation.
@@ -42,6 +47,11 @@ pub trait MicroKernel {
     /// `A` panel (`a_pack[p·MR + i]`) and one packed `B` panel
     /// (`b_pack[p·NR + j]`).
     fn tile_f32(&self, ap: &[f32], bp: &[f32], kb: usize) -> [[f32; NR]; MR];
+
+    /// One packed FC panel step: `acc[r] = acc[r] + w[i·FC_PANEL + r] ·
+    /// x[i]` for ascending `i` over `x.len()` inputs — a separate multiply
+    /// and add, never an FMA.
+    fn fc_panel_f32(&self, acc: &mut [f32; FC_PANEL], w: &[f32], x: &[f32]);
 
     /// Fixed-point multiply-accumulate span: `acc[j] += raw(data[j]) ·
     /// raw(coeff)` over `min(acc.len(), data.len())` lanes, exact in i64.
@@ -76,6 +86,16 @@ impl MicroKernel for ScalarKernel {
             }
         }
         acc
+    }
+
+    #[inline]
+    fn fc_panel_f32(&self, acc: &mut [f32; FC_PANEL], w: &[f32], x: &[f32]) {
+        assert!(w.len() >= x.len() * FC_PANEL, "short fc panel");
+        for (row, &xi) in w.chunks_exact(FC_PANEL).zip(x) {
+            for (a, &wv) in acc.iter_mut().zip(row) {
+                *a += wv * xi;
+            }
+        }
     }
 
     #[inline]
@@ -114,6 +134,15 @@ impl MicroKernel for Avx2Kernel {
     }
 
     #[inline]
+    fn fc_panel_f32(&self, acc: &mut [f32; FC_PANEL], w: &[f32], x: &[f32]) {
+        assert!(w.len() >= x.len() * FC_PANEL, "short fc panel");
+        debug_assert!(self.supported(), "AVX2 kernel selected without CPUID");
+        // SAFETY: panel length checked above; AVX2 presence is guaranteed
+        // by kernel selection.
+        unsafe { fc_panel_f32_avx2(acc, w, x) }
+    }
+
+    #[inline]
     fn mac_span_fix16(&self, acc: &mut [i64], data: &[Fix16], coeff: Fix16) {
         debug_assert!(self.supported(), "AVX2 kernel selected without CPUID");
         // SAFETY: lane loop below stays within both slices; AVX2 presence
@@ -148,6 +177,39 @@ unsafe fn tile_f32_avx2(ap: &[f32], bp: &[f32], kb: usize) -> [[f32; NR]; MR] {
         unsafe { _mm256_storeu_ps(row.as_mut_ptr(), *lane) };
     }
     out
+}
+
+/// The FC panel step with the 32 accumulators in four 256-bit registers:
+/// per input `i`, `_mm256_mul_ps` + `_mm256_add_ps` perform the scalar
+/// oracle's per-row multiply and add, so the result is bit-identical.
+///
+/// # Safety
+///
+/// The host must support AVX2, and `w` must hold at least
+/// `x.len()·FC_PANEL` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fc_panel_f32_avx2(acc: &mut [f32; FC_PANEL], w: &[f32], x: &[f32]) {
+    use std::arch::x86_64::*;
+    const LANES: usize = FC_PANEL / 8;
+    let mut a = [_mm256_setzero_ps(); LANES];
+    for (l, lane) in a.iter_mut().enumerate() {
+        // SAFETY: acc holds FC_PANEL = LANES·8 floats.
+        *lane = unsafe { _mm256_loadu_ps(acc.as_ptr().add(l * 8)) };
+    }
+    for (i, &xi) in x.iter().enumerate() {
+        let xv = _mm256_set1_ps(xi);
+        for (l, lane) in a.iter_mut().enumerate() {
+            // SAFETY: i < x.len() and the safe wrapper checked w holds
+            // x.len() panel rows of FC_PANEL floats.
+            let wv = unsafe { _mm256_loadu_ps(w.as_ptr().add(i * FC_PANEL + l * 8)) };
+            *lane = _mm256_add_ps(*lane, _mm256_mul_ps(wv, xv));
+        }
+    }
+    for (l, lane) in a.iter().enumerate() {
+        // SAFETY: as for the loads above.
+        unsafe { _mm256_storeu_ps(acc.as_mut_ptr().add(l * 8), *lane) };
+    }
 }
 
 /// 8-lane fix16 MAC span: `i16·i16` products are exact in `i32`
@@ -248,6 +310,16 @@ impl KernelChoice {
         }
     }
 
+    /// Dispatches [`MicroKernel::fc_panel_f32`].
+    #[inline]
+    pub fn fc_panel_f32(self, acc: &mut [f32; FC_PANEL], w: &[f32], x: &[f32]) {
+        match self {
+            KernelChoice::Scalar => ScalarKernel.fc_panel_f32(acc, w, x),
+            #[cfg(target_arch = "x86_64")]
+            KernelChoice::Avx2 => Avx2Kernel.fc_panel_f32(acc, w, x),
+        }
+    }
+
     /// Dispatches [`MicroKernel::mac_span_fix16`].
     #[inline]
     pub fn mac_span_fix16(self, acc: &mut [i64], data: &[Fix16], coeff: Fix16) {
@@ -290,6 +362,22 @@ mod tests {
             for k in KernelChoice::all_supported() {
                 let got = k.tile_f32(&ap, &bp, kb);
                 assert_eq!(got, oracle, "kernel {} kb {kb}", k.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_supported_kernel_matches_scalar_fc_panel() {
+        for len in [0usize, 1, 7, 8, 9, 100, 512] {
+            let w = seeded(len * FC_PANEL, 41 + len as u64);
+            let x = seeded(len, 53 + len as u64);
+            let start: [f32; FC_PANEL] = seeded(FC_PANEL, 7).try_into().unwrap();
+            let mut oracle = start;
+            ScalarKernel.fc_panel_f32(&mut oracle, &w, &x);
+            for k in KernelChoice::all_supported() {
+                let mut acc = start;
+                k.fc_panel_f32(&mut acc, &w, &x);
+                assert_eq!(acc, oracle, "kernel {} len {len}", k.name());
             }
         }
     }

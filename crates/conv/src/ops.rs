@@ -5,8 +5,12 @@
 //! has templates for (§6: "templates for various type of layers including
 //! convolution, pooling, and local response normalization").
 
+use crate::gemm::{ConvPhase, ConvStats};
+use crate::microkernel::KernelChoice;
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
+use std::time::Instant;
+use winofuse_runtime::PoolProfiler;
 
 /// Pooling flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,6 +231,183 @@ pub fn fully_connected<T: Scalar>(
         }
     }
     Ok(out)
+}
+
+/// Output rows per packed FC panel: four 8-lane accumulators.
+pub const FC_PANEL: usize = 32;
+/// Input features per K-block: every frame of a batch runs against one
+/// panel slice (`FC_KBLOCK·FC_PANEL` floats, 64 KiB) while it is cached.
+const FC_KBLOCK: usize = 512;
+/// Panels owned by one pool job (a tuning constant; results never
+/// depend on it).
+const FC_PANELS_PER_JOB: usize = 8;
+/// Input features transposed per pack step, so the pack writes one
+/// contiguous `FC_PACK_BLOCK·FC_PANEL` region at a time.
+const FC_PACK_BLOCK: usize = 64;
+
+/// A fully connected layer's weights packed once into 32-row output
+/// panels, `[panel][i][FC_PANEL]`, for [`PackedFc::run`].
+///
+/// Only the last, ragged panel is zero-padded (1000 outputs pack into
+/// 1024 rows); the padded rows are computed and discarded.
+///
+/// `run` is bit-identical to [`fully_connected`]: each panel keeps 32
+/// accumulators that start from the bias and add `w[o][i]·x[i]` for
+/// ascending `i` as a separate multiply and add — exactly the scalar
+/// loop's sequence per output. Storing the accumulators between
+/// K-blocks does not round.
+#[derive(Debug, Clone)]
+pub struct PackedFc {
+    panels: Vec<f32>,
+    /// Bias padded to whole panels.
+    bias: Vec<f32>,
+    out_features: usize,
+    in_features: usize,
+}
+
+impl PackedFc {
+    /// Packs a row-major `out_features × in_features` matrix and its bias.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::ShapeMismatch`] when `weights` does not hold
+    /// `out_features·in_features` values or `bias` not `out_features`.
+    pub fn new(
+        weights: &[f32],
+        bias: &[f32],
+        out_features: usize,
+        in_features: usize,
+    ) -> Result<Self, ConvError> {
+        if out_features.checked_mul(in_features) != Some(weights.len()) {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("{out_features}x{in_features} weights"),
+                found: format!("{}", weights.len()),
+            });
+        }
+        if bias.len() != out_features {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("{out_features} bias values"),
+                found: format!("{}", bias.len()),
+            });
+        }
+        let n_panels = out_features.div_ceil(FC_PANEL);
+        let panel_len = in_features * FC_PANEL;
+        let mut panels = vec![0.0f32; n_panels * panel_len];
+        for p in 0..n_panels {
+            let panel = &mut panels[p * panel_len..][..panel_len];
+            let rows = FC_PANEL.min(out_features - p * FC_PANEL);
+            for i0 in (0..in_features).step_by(FC_PACK_BLOCK) {
+                let i1 = (i0 + FC_PACK_BLOCK).min(in_features);
+                let block = &mut panel[i0 * FC_PANEL..i1 * FC_PANEL];
+                for r in 0..rows {
+                    let src = &weights[(p * FC_PANEL + r) * in_features..][i0..i1];
+                    for (dst, &v) in block.chunks_exact_mut(FC_PANEL).zip(src) {
+                        dst[r] = v;
+                    }
+                }
+            }
+        }
+        let mut padded = vec![0.0f32; n_panels * FC_PANEL];
+        padded[..out_features].copy_from_slice(bias);
+        Ok(PackedFc {
+            panels,
+            bias: padded,
+            out_features,
+            in_features,
+        })
+    }
+
+    /// Heap footprint of the packed panels and bias.
+    fn bytes(&self) -> u64 {
+        ((self.panels.len() + self.bias.len()) * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// Runs the layer on every frame of `input` (flattened per frame),
+    /// threaded over panel jobs on the shared pool (`prof` scoped to
+    /// `fc`). Frames are the GEMM N dimension: within each K-block every
+    /// frame runs against the same cached panel slice. Each output is
+    /// written by one job in a fixed order, so the result is
+    /// bit-identical to [`fully_connected`] at any thread count and on
+    /// every `kernel`.
+    ///
+    /// With `stats`, the exact `2·out·in·n` flops, the bytes moved
+    /// (packed weights, input, output) and the per-job kernel time are
+    /// recorded as [`ConvPhase::Gemm`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::ShapeMismatch`] when `c·h·w` of `input`
+    /// differs from the packed `in_features`, and
+    /// [`ConvError::KernelFault`] when a pool job faults.
+    pub fn run(
+        &self,
+        input: &Tensor<f32>,
+        threads: usize,
+        stats: Option<&ConvStats>,
+        prof: &PoolProfiler,
+        kernel: KernelChoice,
+    ) -> Result<Tensor<f32>, ConvError> {
+        let in_f = input.c() * input.h() * input.w();
+        if in_f != self.in_features {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("{} input features", self.in_features),
+                found: format!("{in_f}"),
+            });
+        }
+        let (n, out_f) = (input.n(), self.out_features);
+        let mut out = Tensor::zeros(n, out_f, 1, 1);
+        if n == 0 {
+            return Ok(out);
+        }
+        let n_panels = out_f.div_ceil(FC_PANEL);
+        let x = input.as_slice();
+        // Staged as [panel][frame][FC_PANEL]: each job owns a contiguous
+        // run of whole panels.
+        let mut staged = vec![0.0f32; n_panels * n * FC_PANEL];
+        let slices = winofuse_runtime::split_chunks(&mut staged, FC_PANELS_PER_JOB * n * FC_PANEL);
+        winofuse_runtime::run_sliced_jobs_isolated(
+            winofuse_runtime::resolve_threads(threads),
+            slices,
+            &prof.scoped("fc"),
+            || (),
+            |(), job, job_accs| {
+                let t0 = stats.map(|_| Instant::now());
+                let p0 = job * FC_PANELS_PER_JOB;
+                for (p, accs) in (p0..).zip(job_accs.chunks_exact_mut(n * FC_PANEL)) {
+                    let panel = &self.panels[p * in_f * FC_PANEL..][..in_f * FC_PANEL];
+                    let bias = &self.bias[p * FC_PANEL..][..FC_PANEL];
+                    for acc in accs.chunks_exact_mut(FC_PANEL) {
+                        acc.copy_from_slice(bias);
+                    }
+                    for k0 in (0..in_f).step_by(FC_KBLOCK) {
+                        let k1 = (k0 + FC_KBLOCK).min(in_f);
+                        let w = &panel[k0 * FC_PANEL..k1 * FC_PANEL];
+                        for (b, acc) in accs.chunks_exact_mut(FC_PANEL).enumerate() {
+                            let acc: &mut [f32; FC_PANEL] =
+                                acc.try_into().expect("invariant: accumulator is one panel");
+                            kernel.fc_panel_f32(acc, w, &x[b * in_f + k0..b * in_f + k1]);
+                        }
+                    }
+                }
+                if let (Some(s), Some(t0)) = (stats, t0) {
+                    s.add_phase_ns(ConvPhase::Gemm, t0.elapsed().as_nanos() as u64);
+                }
+            },
+        )?;
+        let dst = out.as_mut_slice();
+        for (p, panel) in staged.chunks_exact(n * FC_PANEL).enumerate() {
+            let rows = FC_PANEL.min(out_f - p * FC_PANEL);
+            for (b, acc) in panel.chunks_exact(FC_PANEL).enumerate() {
+                dst[b * out_f + p * FC_PANEL..][..rows].copy_from_slice(&acc[..rows]);
+            }
+        }
+        if let Some(s) = stats {
+            let flops = 2 * (out_f * in_f * n) as u64;
+            let io = ((n * in_f + n * out_f) * std::mem::size_of::<f32>()) as u64;
+            s.add_phase(ConvPhase::Gemm, flops, self.bytes() + io);
+        }
+        Ok(out)
+    }
 }
 
 /// Numerically stable softmax over the channel dimension (computed in

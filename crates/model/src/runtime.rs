@@ -10,17 +10,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
-use winofuse_conv::ops::{self, LrnParams};
+use winofuse_conv::microkernel::KernelChoice;
+use winofuse_conv::ops::{self, LrnParams, PackedFc};
 use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
 use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
 use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
-use winofuse_runtime::PoolProfiler;
+use winofuse_runtime::{GuardPolicy, PoolProfiler};
 use winofuse_telemetry::Telemetry;
 
-use crate::layer::{ConvParams, Layer, LayerKind};
+use crate::layer::{ConvParams, FcParams, Layer, LayerKind};
 use crate::network::Network;
+use crate::shape::FmShape;
 use crate::ModelError;
 
 /// Which algorithm executes a convolutional layer in the reference runner.
@@ -177,6 +179,71 @@ impl NetworkWeights {
     }
 }
 
+/// The conv kernels of layer `i`, checked against the `N×C/g×K×K` shape
+/// the layer's parameters and input shape require.
+fn conv_weights<'w>(
+    weights: &'w NetworkWeights,
+    i: usize,
+    layer: &Layer,
+    c: &ConvParams,
+    input: FmShape,
+) -> Result<&'w Tensor<f32>, ModelError> {
+    let Some(LayerWeights::Conv(kernels)) = weights.get(i) else {
+        return Err(ModelError::Execution(format!(
+            "missing conv weights for layer {i} `{}`",
+            layer.name
+        )));
+    };
+    let want = (
+        c.num_output,
+        c.channels_per_group(input.channels),
+        c.kernel,
+        c.kernel,
+    );
+    if kernels.shape() != want {
+        return Err(ModelError::Execution(format!(
+            "layer {i} `{}`: conv weights are {:?}, expected {want:?}",
+            layer.name,
+            kernels.shape()
+        )));
+    }
+    Ok(kernels)
+}
+
+/// The FC weight matrix and bias of layer `i`, checked against the
+/// `out × in` lengths the layer's parameters and input shape require.
+fn fc_weights<'w>(
+    weights: &'w NetworkWeights,
+    i: usize,
+    layer: &Layer,
+    fc: &FcParams,
+    input: FmShape,
+) -> Result<(&'w [f32], &'w [f32]), ModelError> {
+    let Some(LayerWeights::Fc { weights: w, bias }) = weights.get(i) else {
+        return Err(ModelError::Execution(format!(
+            "missing fc weights for layer {i} `{}`",
+            layer.name
+        )));
+    };
+    let want = input
+        .channels
+        .checked_mul(input.height)
+        .and_then(|v| v.checked_mul(input.width))
+        .and_then(|v| v.checked_mul(fc.num_output));
+    if want != Some(w.len()) || bias.len() != fc.num_output {
+        return Err(ModelError::Execution(format!(
+            "layer {i} `{}`: fc weights hold {} values and {} biases, expected {}x{} and {}",
+            layer.name,
+            w.len(),
+            bias.len(),
+            fc.num_output,
+            input,
+            fc.num_output
+        )));
+    }
+    Ok((w, bias))
+}
+
 /// Runs the network with the conventional algorithm everywhere, returning
 /// the output of every layer (`result[i]` = output of layer `i`).
 ///
@@ -224,12 +291,7 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
     for (i, layer) in net.layers().iter().enumerate() {
         let next = match &layer.kind {
             LayerKind::Conv(c) => {
-                let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing conv weights for layer {i} `{}`",
-                        layer.name
-                    )));
-                };
+                let kernels = conv_weights(weights, i, layer, c, shapes[i])?;
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
                 let algo = algo_for(i);
                 let run = |x: &Tensor<f32>, k: &Tensor<f32>| -> Result<Tensor<f32>, ModelError> {
@@ -276,12 +338,7 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
             )?,
             LayerKind::Relu => ops::relu(&cur),
             LayerKind::Fc(fc) => {
-                let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing fc weights for layer {i} `{}`",
-                        layer.name
-                    )));
-                };
+                let (w, bias) = fc_weights(weights, i, layer, fc, shapes[i])?;
                 let mut y = ops::fully_connected(&cur, w, bias, fc.num_output)?;
                 if fc.relu {
                     y = ops::relu(&y);
@@ -338,12 +395,7 @@ pub fn forward_fix16(
     for (i, layer) in net.layers().iter().enumerate() {
         let next = match &layer.kind {
             LayerKind::Conv(c) => {
-                let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing conv weights for layer {i} `{}`",
-                        layer.name
-                    )));
-                };
+                let kernels = conv_weights(weights, i, layer, c, shapes[i])?;
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
                 let mut y = if c.groups <= 1 {
                     let k: Tensor<Fix16> = kernels.cast();
@@ -437,8 +489,9 @@ pub struct LayerProfile {
     /// Model-level arithmetic operation count ([`Layer::ops`]) — what
     /// the layer mathematically requires, independent of algorithm.
     pub model_ops: u64,
-    /// Kernel-phase counters recorded while executing this layer
-    /// (all-zero for non-conv layers).
+    /// Kernel-phase counters recorded while executing this layer (FC
+    /// layers record their GEMM phase; all-zero for pool, LRN, ReLU and
+    /// softmax).
     pub conv: ConvProfile,
 }
 
@@ -471,12 +524,13 @@ struct PreparedConv {
 
 enum PreparedLayer {
     Conv(PreparedConv),
-    Fc { weights: Vec<f32>, bias: Vec<f32> },
+    Fc(PackedFc),
     Stateless,
 }
 
 /// Everything the fast path pays *once per model*: shape inference,
-/// per-group kernel slicing, and the Winograd filter-bank transforms.
+/// per-group kernel slicing, the Winograd filter-bank transforms, and the
+/// FC weight panels.
 ///
 /// A [`NetworkExecutor`] borrows the network but holds its preparation
 /// behind an `Arc`, so the expensive part is shareable: the plan cache
@@ -489,21 +543,22 @@ pub struct PreparedNetwork {
     layers: Vec<PreparedLayer>,
     /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`) —
     /// grouped-conv slicing derives from these, never raw tensor dims.
-    shapes: Vec<crate::shape::FmShape>,
+    shapes: Vec<FmShape>,
     algo: ExecAlgo,
     network_fingerprint: u64,
 }
 
 impl PreparedNetwork {
-    /// Prepares a network for repeated execution: slices grouped kernels
-    /// and transforms Winograd filter banks according to `algo`.
+    /// Prepares a network for repeated execution: slices grouped kernels,
+    /// transforms Winograd filter banks according to `algo`, and packs FC
+    /// weights into panels.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Execution`] when a layer's weights are
-    /// missing or malformed, or when [`ExecAlgo::Winograd`] is forced on
-    /// a layer the `F(4×4, 3×3)` path cannot run (kernel ≠ 3 or
-    /// stride ≠ 1).
+    /// missing or do not match the layer's shape, or when
+    /// [`ExecAlgo::Winograd`] is forced on a layer the `F(4×4, 3×3)` path
+    /// cannot run (kernel ≠ 3 or stride ≠ 1).
     pub fn new(
         net: &Network,
         weights: &NetworkWeights,
@@ -515,12 +570,7 @@ impl PreparedNetwork {
         for (i, layer) in net.layers().iter().enumerate() {
             let p = match &layer.kind {
                 LayerKind::Conv(c) => {
-                    let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                        return Err(ModelError::Execution(format!(
-                            "missing conv weights for layer {i} `{}`",
-                            layer.name
-                        )));
-                    };
+                    let kernels = conv_weights(weights, i, layer, c, shapes[i])?;
                     let wino_capable = c.kernel == transform.r() && c.stride == 1;
                     let use_wino = match algo {
                         ExecAlgo::Auto => wino_capable,
@@ -570,17 +620,9 @@ impl PreparedNetwork {
                         sparse_banks,
                     })
                 }
-                LayerKind::Fc(_) => {
-                    let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
-                        return Err(ModelError::Execution(format!(
-                            "missing fc weights for layer {i} `{}`",
-                            layer.name
-                        )));
-                    };
-                    PreparedLayer::Fc {
-                        weights: w.clone(),
-                        bias: bias.clone(),
-                    }
+                LayerKind::Fc(fc) => {
+                    let (w, bias) = fc_weights(weights, i, layer, fc, shapes[i])?;
+                    PreparedLayer::Fc(PackedFc::new(w, bias, fc.num_output, shapes[i].elements())?)
                 }
                 _ => PreparedLayer::Stateless,
             };
@@ -622,11 +664,13 @@ impl PreparedNetwork {
 }
 
 /// Whole-network fast-path executor: convolutions run through the batched
-/// Winograd / blocked-GEMM kernels of `winofuse-conv`, threaded over the
-/// shared `winofuse-runtime` worker pool; pool/LRN/ReLU/FC/softmax reuse
-/// the reference operators. The naive [`forward`] path remains the oracle
-/// — outputs agree within 1e-4 (f32) and the executor is bit-identical
-/// across thread counts.
+/// Winograd / blocked-GEMM kernels of `winofuse-conv` and FC layers
+/// through the packed panel kernel ([`PackedFc`]), both threaded over the
+/// shared `winofuse-runtime` worker pool; pool/LRN/ReLU/softmax reuse the
+/// reference operators. The naive [`forward`] path remains the oracle —
+/// outputs agree within 1e-4 (f32), FC layers match
+/// [`ops::fully_connected`] bit for bit, and the executor is
+/// bit-identical across thread counts.
 ///
 /// # Examples
 ///
@@ -649,6 +693,7 @@ pub struct NetworkExecutor<'n> {
     telemetry: Telemetry,
     faults: FaultInjector,
     fault_mode: FaultMode,
+    guard: GuardPolicy,
     prepared: std::sync::Arc<PreparedNetwork>,
 }
 
@@ -705,6 +750,7 @@ impl<'n> NetworkExecutor<'n> {
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
             fault_mode: FaultMode::Strict,
+            guard: GuardPolicy::default(),
             prepared,
         })
     }
@@ -729,6 +775,13 @@ impl<'n> NetworkExecutor<'n> {
     /// into the worker pool (sites `pool.<layer>/<phase>`).
     pub fn with_faults(mut self, faults: FaultInjector) -> Self {
         self.faults = faults;
+        self
+    }
+
+    /// Sets the retry/deadline policy of every worker-pool job the layers
+    /// run (default: no retries, no deadline).
+    pub fn with_guard(mut self, guard: GuardPolicy) -> Self {
+        self.guard = guard;
         self
     }
 
@@ -764,7 +817,7 @@ impl<'n> NetworkExecutor<'n> {
     pub fn run_all(&self, input: &Tensor<f32>) -> Result<Vec<Tensor<f32>>, ModelError> {
         self.check_input(input)?;
         let stats = ConvStats::new();
-        let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
+        let base = self.pool_profiler();
         let mut outputs = Vec::with_capacity(self.net.len());
         let mut cur = input.clone();
         for (i, layer) in self.net.layers().iter().enumerate() {
@@ -798,7 +851,7 @@ impl<'n> NetworkExecutor<'n> {
         input: &Tensor<f32>,
     ) -> Result<(Tensor<f32>, Vec<LayerProfile>), ModelError> {
         self.check_input(input)?;
-        let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
+        let base = self.pool_profiler();
         let total = ConvStats::new();
         let mut profiles = Vec::with_capacity(self.net.len());
         let mut cur = input.clone();
@@ -830,6 +883,12 @@ impl<'n> NetworkExecutor<'n> {
         }
         self.publish_conv_counters(&total);
         Ok((cur, profiles))
+    }
+
+    fn pool_profiler(&self) -> PoolProfiler {
+        PoolProfiler::new(self.telemetry.clone(), "")
+            .with_faults(self.faults.clone())
+            .with_guard(self.guard)
     }
 
     fn check_input(&self, input: &Tensor<f32>) -> Result<(), ModelError> {
@@ -892,7 +951,7 @@ impl<'n> NetworkExecutor<'n> {
                             reason: "injected fault".to_string(),
                         });
                     }
-                    self.exec_simple(i, layer, cur)
+                    self.exec_simple(i, layer, cur, stats, prof)
                 }));
                 match guarded {
                     Ok(result) => result,
@@ -907,11 +966,14 @@ impl<'n> NetworkExecutor<'n> {
 
     /// The non-conv layer bodies (pool/LRN/ReLU/FC/softmax) — no fallback
     /// path, called inside the guard of [`NetworkExecutor::exec_layer`].
+    /// FC work lands in `stats` as the GEMM phase.
     fn exec_simple(
         &self,
         i: usize,
         layer: &Layer,
         cur: &Tensor<f32>,
+        stats: &ConvStats,
+        prof: &PoolProfiler,
     ) -> Result<Tensor<f32>, ModelError> {
         Ok(match &layer.kind {
             LayerKind::Conv(_) => {
@@ -932,10 +994,11 @@ impl<'n> NetworkExecutor<'n> {
             )?,
             LayerKind::Relu => ops::relu(cur),
             LayerKind::Fc(fc) => {
-                let PreparedLayer::Fc { weights, bias } = &self.prepared.layers[i] else {
+                let PreparedLayer::Fc(packed) = &self.prepared.layers[i] else {
                     unreachable!("invariant: fc layer prepared as non-fc");
                 };
-                let mut y = ops::fully_connected(cur, weights, bias, fc.num_output)?;
+                let mut y =
+                    packed.run(cur, self.threads, Some(stats), prof, KernelChoice::auto())?;
                 if fc.relu {
                     y = ops::relu(&y);
                 }
@@ -1412,6 +1475,29 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.phase == 'X' && e.pid == PID_WALL && e.name.contains("/wino.gemm[")));
+    }
+
+    #[test]
+    fn mismatched_weights_are_a_typed_error() {
+        // The small net's weights are too few and the wrong shape for
+        // AlexNet: preparation and the reference path must say so
+        // instead of panicking.
+        let net = zoo::alexnet();
+        let w = NetworkWeights::random(&zoo::small_test_net(), 1).unwrap();
+        assert!(matches!(
+            PreparedNetwork::new(&net, &w, ExecAlgo::Auto),
+            Err(ModelError::Execution(_))
+        ));
+        let x = random_tensor(1, 3, 227, 227, 2);
+        assert!(matches!(forward(&net, &w, &x), Err(ModelError::Execution(_))));
+        // Index out of range: conv-body weights for the full net, whose
+        // FC layers have no entry.
+        let short = NetworkWeights::random(&net.conv_body().unwrap(), 1).unwrap();
+        assert!(short.len() < net.len());
+        assert!(matches!(
+            PreparedNetwork::new(&net, &short, ExecAlgo::Auto),
+            Err(ModelError::Execution(_))
+        ));
     }
 
     #[test]

@@ -996,26 +996,22 @@ fn cmd_profile(net: &Network, o: &Options) -> Result<(), TaskError> {
     for (layer, p) in net.layers().iter().zip(&profiles) {
         total_flops += p.conv.total_flops();
         let wall_ms = p.wall_ns as f64 / 1e6;
-        match (
-            p.achieved_gflops(),
-            roofline_attribution(&layer.kind, p, &roofline, &o.device, sparse_density(o)),
-        ) {
-            (Some(gflops), Some((attain, pct))) => println!(
-                "{:<16} {:<5} {:<9} {:>9.2} {:>10.2} {:>9.2} {:>12.1} {:>7.1}",
-                p.name,
-                p.kind,
-                p.algo,
-                wall_ms,
-                gflops,
-                p.conv.arithmetic_intensity(),
-                attain,
-                pct
+        let (gflops, ai) = match p.achieved_gflops() {
+            Some(g) => (
+                format!("{g:.2}"),
+                format!("{:.2}", p.conv.arithmetic_intensity()),
             ),
-            _ => println!(
-                "{:<16} {:<5} {:<9} {:>9.2} {:>10} {:>9} {:>12} {:>7}",
-                p.name, p.kind, p.algo, wall_ms, "-", "-", "-", "-"
-            ),
-        }
+            None => ("-".to_string(), "-".to_string()),
+        };
+        let (attain, pct) =
+            match roofline_attribution(&layer.kind, p, &roofline, &o.device, sparse_density(o)) {
+                Some((attain, pct)) => (format!("{attain:.1}"), format!("{pct:.1}")),
+                None => ("-".to_string(), "-".to_string()),
+            };
+        println!(
+            "{:<16} {:<5} {:<9} {:>9.2} {:>10} {:>9} {:>12} {:>7}",
+            p.name, p.kind, p.algo, wall_ms, gflops, ai, attain, pct
+        );
     }
     println!(
         "\ntotal: {:.1} ms, {:.2} counted Gflop, {:.2} effective GFLOP/s",
@@ -1060,15 +1056,15 @@ fn write_profile_json(
             "\"arithmetic_intensity\": {:.6}, ",
             c.arithmetic_intensity()
         ));
-        match (p.achieved_gflops(), attribution) {
-            (Some(g), Some((attain, pct))) => s.push_str(&format!(
-                "\"achieved_gflops\": {g:.6}, \"attainable_gops\": {attain:.6}, \
-                 \"pct_of_roofline\": {pct:.3}, "
+        match p.achieved_gflops() {
+            Some(g) => s.push_str(&format!("\"achieved_gflops\": {g:.6}, ")),
+            None => s.push_str("\"achieved_gflops\": null, "),
+        }
+        match attribution {
+            Some((attain, pct)) => s.push_str(&format!(
+                "\"attainable_gops\": {attain:.6}, \"pct_of_roofline\": {pct:.3}, "
             )),
-            _ => s.push_str(
-                "\"achieved_gflops\": null, \"attainable_gops\": null, \
-                 \"pct_of_roofline\": null, ",
-            ),
+            None => s.push_str("\"attainable_gops\": null, \"pct_of_roofline\": null, "),
         }
         s.push_str(&format!(
             "\"gemm_calls\": {}, \"tiles\": {}, \"bytes_packed\": {}, ",

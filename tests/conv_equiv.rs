@@ -14,9 +14,14 @@ use winofuse::conv::fixed::Fix16;
 use winofuse::conv::microkernel::KernelChoice;
 use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
+use winofuse::conv::ops::{self, PackedFc};
 use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
-use winofuse::runtime::PoolProfiler;
+use winofuse::model::runtime::{LayerWeights, NetworkExecutor, NetworkWeights};
+use winofuse::model::{ConvParams, FcParams, FmShape, LayerKind, Network, PoolParams};
+use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector};
+use winofuse::runtime::{GuardPolicy, PoolProfiler};
+use winofuse::telemetry::Telemetry;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -409,5 +414,115 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Packed FC panels: every supported kernel at 1/2/4/8 threads,
+    /// bitwise equal to the scalar `ops::fully_connected` loop. `out`
+    /// covers a single row, ragged panels and several panels; `in`
+    /// ranges over values that are mostly not multiples of 8 and cross
+    /// the 512-wide K-block.
+    #[test]
+    fn packed_fc_matches_scalar_fully_connected(
+        out_idx in 0usize..6,
+        in_f in 1usize..1100,
+        batch in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let out_f = [1usize, 7, 31, 32, 33, 100][out_idx];
+        let x = random_tensor(batch, in_f, 1, 1, seed);
+        let w = random_tensor(1, 1, out_f, in_f, seed + 1).as_slice().to_vec();
+        let bias = random_tensor(1, 1, 1, out_f, seed + 2).as_slice().to_vec();
+        let oracle = ops::fully_connected(&x, &w, &bias, out_f).unwrap();
+        let packed = PackedFc::new(&w, &bias, out_f, in_f).unwrap();
+        let prof = PoolProfiler::disabled();
+        for kernel in KernelChoice::all_supported() {
+            for threads in THREADS {
+                let y = packed.run(&x, threads, None, &prof, kernel).unwrap();
+                prop_assert_eq!(
+                    &y, &oracle,
+                    "{} fc {}x{} batch {} @ {} threads diverges from the scalar loop",
+                    kernel.name(), out_f, in_f, batch, threads
+                );
+            }
+        }
+    }
+}
+
+/// conv → pool → fc+relu → fc → softmax: the smallest net that sends
+/// the executor down its FC path (no zoo test net has an FC layer).
+fn fc_test_net() -> Network {
+    Network::builder("fc_head", FmShape::new(3, 12, 12))
+        .conv("conv1", ConvParams::new(8, 3, 1, 1, true))
+        .pool("pool1", PoolParams::max2x2())
+        .fc("fc1", FcParams { num_output: 40, relu: true })
+        .fc("fc2", FcParams { num_output: 10, relu: false })
+        .softmax("prob")
+        .build()
+        .expect("fc test net")
+}
+
+#[test]
+fn executor_fc_layers_match_scalar_oracle_and_survive_retry() {
+    install_quiet_panic_hook();
+    let net = fc_test_net();
+    let weights = NetworkWeights::random(&net, 61).expect("weights");
+    let x = random_tensor(3, 3, 12, 12, 62);
+    let run_all = |threads: usize| {
+        NetworkExecutor::new(&net, &weights)
+            .expect("executor")
+            .with_threads(threads)
+            .run_all(&x)
+            .expect("run")
+    };
+    let base = run_all(1);
+
+    // Every FC output equals the scalar loop applied to the executor's
+    // own previous output, bit for bit.
+    let mut fc_layers = 0;
+    for (i, layer) in net.layers().iter().enumerate() {
+        let LayerKind::Fc(fc) = &layer.kind else { continue };
+        let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
+            panic!("fc layer `{}` has no fc weights", layer.name);
+        };
+        let mut want = ops::fully_connected(&base[i - 1], w, bias, fc.num_output).unwrap();
+        if fc.relu {
+            want = ops::relu(&want);
+        }
+        assert_eq!(base[i], want, "`{}` differs from ops::fully_connected", layer.name);
+        fc_layers += 1;
+    }
+    assert_eq!(fc_layers, 2);
+
+    for threads in THREADS {
+        assert_eq!(run_all(threads), base, "outputs differ at {threads} threads");
+    }
+
+    // A transient panic in one fc1 pool job is absorbed by one retry.
+    let faulty = |guard: GuardPolicy, tel: &Telemetry| {
+        NetworkExecutor::new(&net, &weights)
+            .expect("executor")
+            .with_threads(2)
+            .with_telemetry(tel.clone())
+            .with_faults(FaultInjector::parse("panic@pool.fc1/fc#1").expect("spec"))
+            .with_guard(guard)
+            .run_all(&x)
+    };
+    let tel = Telemetry::enabled();
+    let recovered = faulty(GuardPolicy { retries: 1, deadline: None }, &tel)
+        .expect("one retry must absorb the panic");
+    assert_eq!(recovered, base, "retried fc job changed the output");
+    assert_eq!(tel.summary().counter("pool.job_retries"), 1);
+    assert_eq!(tel.summary().counter("pool.job_panics"), 1);
+
+    // Without retries the same panic surfaces as a typed fault at fc1.
+    match faulty(GuardPolicy::default(), &Telemetry::enabled()) {
+        Err(winofuse::model::ModelError::KernelFault { layer, .. }) => {
+            assert!(layer.contains("fc1"), "fault site `{layer}`")
+        }
+        other => panic!("expected KernelFault, got {other:?}"),
     }
 }
