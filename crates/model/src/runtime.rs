@@ -17,7 +17,7 @@ use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
 use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
 use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
-use winofuse_runtime::{GuardPolicy, PoolProfiler};
+use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
 use crate::layer::{ConvParams, FcParams, Layer, LayerKind};
@@ -693,7 +693,6 @@ pub struct NetworkExecutor<'n> {
     telemetry: Telemetry,
     faults: FaultInjector,
     fault_mode: FaultMode,
-    guard: GuardPolicy,
     prepared: std::sync::Arc<PreparedNetwork>,
 }
 
@@ -750,7 +749,6 @@ impl<'n> NetworkExecutor<'n> {
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
             fault_mode: FaultMode::Strict,
-            guard: GuardPolicy::default(),
             prepared,
         })
     }
@@ -775,13 +773,6 @@ impl<'n> NetworkExecutor<'n> {
     /// into the worker pool (sites `pool.<layer>/<phase>`).
     pub fn with_faults(mut self, faults: FaultInjector) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the retry/deadline policy of every worker-pool job the layers
-    /// run (default: no retries, no deadline).
-    pub fn with_guard(mut self, guard: GuardPolicy) -> Self {
-        self.guard = guard;
         self
     }
 
@@ -886,9 +877,7 @@ impl<'n> NetworkExecutor<'n> {
     }
 
     fn pool_profiler(&self) -> PoolProfiler {
-        PoolProfiler::new(self.telemetry.clone(), "")
-            .with_faults(self.faults.clone())
-            .with_guard(self.guard)
+        PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone())
     }
 
     fn check_input(&self, input: &Tensor<f32>) -> Result<(), ModelError> {
@@ -1489,7 +1478,10 @@ mod tests {
             Err(ModelError::Execution(_))
         ));
         let x = random_tensor(1, 3, 227, 227, 2);
-        assert!(matches!(forward(&net, &w, &x), Err(ModelError::Execution(_))));
+        assert!(matches!(
+            forward(&net, &w, &x),
+            Err(ModelError::Execution(_))
+        ));
         // Index out of range: conv-body weights for the full net, whose
         // FC layers have no entry.
         let short = NetworkWeights::random(&net.conv_body().unwrap(), 1).unwrap();

@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use winofuse::conv::cook_toom::{f43, WinogradTransform};
 use winofuse::conv::fixed::Fix16;
 use winofuse::conv::microkernel::KernelChoice;
+use winofuse::conv::ops::{self, PackedFc};
 use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
-use winofuse::conv::ops::{self, PackedFc};
 use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
 use winofuse::model::runtime::{LayerWeights, NetworkExecutor, NetworkWeights};
@@ -458,15 +458,27 @@ fn fc_test_net() -> Network {
     Network::builder("fc_head", FmShape::new(3, 12, 12))
         .conv("conv1", ConvParams::new(8, 3, 1, 1, true))
         .pool("pool1", PoolParams::max2x2())
-        .fc("fc1", FcParams { num_output: 40, relu: true })
-        .fc("fc2", FcParams { num_output: 10, relu: false })
+        .fc(
+            "fc1",
+            FcParams {
+                num_output: 40,
+                relu: true,
+            },
+        )
+        .fc(
+            "fc2",
+            FcParams {
+                num_output: 10,
+                relu: false,
+            },
+        )
         .softmax("prob")
         .build()
         .expect("fc test net")
 }
 
 #[test]
-fn executor_fc_layers_match_scalar_oracle_and_survive_retry() {
+fn executor_fc_layers_match_scalar_oracle_at_any_thread_count() {
     install_quiet_panic_hook();
     let net = fc_test_net();
     let weights = NetworkWeights::random(&net, 61).expect("weights");
@@ -484,7 +496,9 @@ fn executor_fc_layers_match_scalar_oracle_and_survive_retry() {
     // own previous output, bit for bit.
     let mut fc_layers = 0;
     for (i, layer) in net.layers().iter().enumerate() {
-        let LayerKind::Fc(fc) = &layer.kind else { continue };
+        let LayerKind::Fc(fc) = &layer.kind else {
+            continue;
+        };
         let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
             panic!("fc layer `{}` has no fc weights", layer.name);
         };
@@ -492,37 +506,62 @@ fn executor_fc_layers_match_scalar_oracle_and_survive_retry() {
         if fc.relu {
             want = ops::relu(&want);
         }
-        assert_eq!(base[i], want, "`{}` differs from ops::fully_connected", layer.name);
+        assert_eq!(
+            base[i], want,
+            "`{}` differs from ops::fully_connected",
+            layer.name
+        );
         fc_layers += 1;
     }
     assert_eq!(fc_layers, 2);
 
     for threads in THREADS {
-        assert_eq!(run_all(threads), base, "outputs differ at {threads} threads");
+        assert_eq!(
+            run_all(threads),
+            base,
+            "outputs differ at {threads} threads"
+        );
     }
 
-    // A transient panic in one fc1 pool job is absorbed by one retry.
-    let faulty = |guard: GuardPolicy, tel: &Telemetry| {
-        NetworkExecutor::new(&net, &weights)
-            .expect("executor")
-            .with_threads(2)
-            .with_telemetry(tel.clone())
-            .with_faults(FaultInjector::parse("panic@pool.fc1/fc#1").expect("spec"))
-            .with_guard(guard)
-            .run_all(&x)
-    };
-    let tel = Telemetry::enabled();
-    let recovered = faulty(GuardPolicy { retries: 1, deadline: None }, &tel)
-        .expect("one retry must absorb the panic");
-    assert_eq!(recovered, base, "retried fc job changed the output");
-    assert_eq!(tel.summary().counter("pool.job_retries"), 1);
-    assert_eq!(tel.summary().counter("pool.job_panics"), 1);
-
-    // Without retries the same panic surfaces as a typed fault at fc1.
-    match faulty(GuardPolicy::default(), &Telemetry::enabled()) {
+    // FC pool jobs are fault sites: a panic in one fc1 job surfaces as a
+    // typed fault naming fc1.
+    let faulty = NetworkExecutor::new(&net, &weights)
+        .expect("executor")
+        .with_threads(2)
+        .with_faults(FaultInjector::parse("panic@pool.fc1/fc#1").expect("spec"))
+        .run_all(&x);
+    match faulty {
         Err(winofuse::model::ModelError::KernelFault { layer, .. }) => {
             assert!(layer.contains("fc1"), "fault site `{layer}`")
         }
         other => panic!("expected KernelFault, got {other:?}"),
     }
+}
+
+/// A transient panic in one packed-FC panel job is absorbed by one retry,
+/// and the retried job rewrites its outputs exactly.
+#[test]
+fn packed_fc_job_panic_recovers_through_retry() {
+    install_quiet_panic_hook();
+    // 300 outputs = 10 panels = 2 jobs; 600 inputs cross a K-block.
+    let (out_f, in_f) = (300, 600);
+    let x = random_tensor(3, in_f, 1, 1, 71);
+    let w = random_tensor(1, 1, out_f, in_f, 72).as_slice().to_vec();
+    let bias = random_tensor(1, 1, 1, out_f, 73).as_slice().to_vec();
+    let oracle = ops::fully_connected(&x, &w, &bias, out_f).unwrap();
+    let packed = PackedFc::new(&w, &bias, out_f, in_f).unwrap();
+    let tel = Telemetry::enabled();
+    let prof = PoolProfiler::new(tel.clone(), "fc1")
+        .with_faults(FaultInjector::parse("panic@pool.fc1/fc#1").expect("spec"))
+        .with_guard(GuardPolicy {
+            retries: 1,
+            deadline: None,
+        });
+    let y = packed
+        .run(&x, 2, None, &prof, KernelChoice::auto())
+        .expect("one retry must absorb the panic");
+    assert_eq!(y, oracle, "retried fc job changed the output");
+    let s = tel.summary();
+    assert_eq!(s.counter("pool.job_panics"), 1);
+    assert_eq!(s.counter("pool.job_retries"), 1);
 }
