@@ -79,23 +79,6 @@ fn bench_fixed_point(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fft(c: &mut Criterion) {
-    // FFT convolution pays off only for big kernels; measure both regimes.
-    let mut group = c.benchmark_group("fft_conv");
-    for (h, k, pad) in [(16usize, 3usize, 1usize), (16, 7, 3)] {
-        let geom = ConvGeometry::new(h, h, k, 1, pad).unwrap();
-        let x = random_tensor(1, 2, h, h, 9);
-        let kr = random_tensor(2, 2, k, k, 10);
-        group.bench_function(format!("fft_{h}x{h}_k{k}"), |b| {
-            b.iter(|| winofuse_conv::fft::conv2d(&x, &kr, geom).unwrap())
-        });
-        group.bench_function(format!("direct_{h}x{h}_k{k}"), |b| {
-            b.iter(|| direct::conv2d(&x, &kr, geom).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn bench_fixed_winograd(c: &mut Criterion) {
     let geom = ConvGeometry::new(16, 16, 3, 1, 1).unwrap();
     let x = random_tensor(1, 4, 16, 16, 11).cast::<winofuse_conv::fixed::Fix16>();
@@ -110,6 +93,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_conv_algorithms, bench_pretransformed_filters, bench_fixed_point,
-              bench_fft, bench_fixed_winograd
+              bench_fixed_winograd
 }
 criterion_main!(benches);

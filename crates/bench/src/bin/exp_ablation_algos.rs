@@ -9,11 +9,22 @@
 
 use winofuse_bench::banner;
 use winofuse_conv::cook_toom::WinogradTransform;
-use winofuse_conv::fft::fft_conv_multiplies;
 use winofuse_conv::ConvGeometry;
 use winofuse_model::layer::LayerKind;
 use winofuse_model::network::Network;
 use winofuse_model::zoo;
+
+/// Real multiplications of FFT convolution for one (input channel, output
+/// channel) plane pair: `3 · P·P·log₂(P·P) + 4·P·P` (three 2-D transforms
+/// amortized + the pointwise product, 4 real mults per complex one),
+/// where `P` is the padded power-of-two size.
+fn fft_conv_multiplies(geom: ConvGeometry) -> u64 {
+    let ph = (geom.height() + geom.kernel() - 1).next_power_of_two() as u64;
+    let pw = (geom.width() + geom.kernel() - 1).next_power_of_two() as u64;
+    let n = ph * pw;
+    let log = (64 - n.leading_zeros() - 1) as u64;
+    3 * n * log + 4 * n
+}
 
 fn wino_multiplies(geom: ConvGeometry, m: usize) -> Option<u64> {
     let t = WinogradTransform::generate(m, geom.kernel()).ok()?;

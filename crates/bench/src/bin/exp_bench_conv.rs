@@ -20,10 +20,12 @@
 
 use winofuse_bench::{banner, BenchCase, BenchReport, LatencySamples};
 use winofuse_conv::cook_toom::f43;
+use winofuse_conv::direct::{self, PackedKernels};
+use winofuse_conv::kernel::{ConvKernel, ExecCtx};
 use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_conv::winograd::{self, BatchedFilters};
-use winofuse_conv::{direct, ConvGeometry};
+use winofuse_conv::ConvGeometry;
 
 /// Transform-domain density of the sparse regime, matching the CLI's
 /// `--exec-algo sparse` default.
@@ -164,13 +166,16 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
     let fast = |threads: usize| {
         median_ms(runs, || {
             grouped(&x, &kernels, case, |xs, ks| {
-                if case.winograd {
-                    let banks = BatchedFilters::new(ks, &transform).expect("filter transform");
-                    winograd::conv2d_batched(xs, &banks, geom, &transform, threads, None)
-                        .expect("batched winograd")
+                let kernel = if case.winograd {
+                    ConvKernel::Winograd(
+                        BatchedFilters::new(ks, &transform).expect("filter transform"),
+                    )
                 } else {
-                    direct::conv2d_fast(xs, ks, geom, threads, None).expect("fast direct")
-                }
+                    ConvKernel::Direct(PackedKernels::new(ks))
+                };
+                kernel
+                    .run(xs, geom, &ExecCtx::new(threads))
+                    .expect("fast conv")
             })
         })
     };
@@ -201,7 +206,8 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
                 grouped(&x, &kernels, case, |xs, ks| {
                     let bank = SparseFilters::new(ks, &transform, SPARSE_DENSITY_PM)
                         .expect("sparse pruning");
-                    winograd::conv2d_batched_sparse(xs, &bank, geom, &transform, threads, None)
+                    ConvKernel::Sparse(bank)
+                        .run(xs, geom, &ExecCtx::new(threads))
                         .expect("sparse winograd")
                 })
             })
@@ -218,7 +224,8 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         // bit-identical to the dense batched Winograd output.
         let full = grouped(&x, &kernels, case, |xs, ks| {
             let bank = SparseFilters::new(ks, &transform, 1000).expect("sparse pruning");
-            winograd::conv2d_batched_sparse(xs, &bank, geom, &transform, 1, None)
+            ConvKernel::Sparse(bank)
+                .run(xs, geom, &ExecCtx::new(1))
                 .expect("sparse winograd")
         });
         assert_eq!(

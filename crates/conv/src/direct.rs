@@ -9,8 +9,8 @@
 //! the reference every other algorithm in this crate is validated against.
 
 use crate::fixed::{Accumulator, Fix16};
-use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
-use crate::microkernel::KernelChoice;
+use crate::gemm::{BOperand, ConvPhase, GemmBlocking, GemmScratch, PackedA};
+use crate::kernel::ExecCtx;
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
@@ -150,7 +150,7 @@ pub fn conv2d_fix16(
 const PATCH_ROW_CHUNK: usize = 8;
 /// Output channels per accumulation job in the fixed-point fast path.
 const OUT_C_BLOCK: usize = 16;
-/// Output rows owned by one fused job in [`conv2d_fast`]: each job
+/// Output rows owned by one fused job in [`PackedKernels::run`]: each job
 /// lowers its own rows (im2col), runs one full-output-channel prepacked
 /// GEMM, and writes its row band across every output plane — a single
 /// pool invocation per call instead of per-batch im2col/GEMM barriers.
@@ -166,7 +166,6 @@ fn fill_patches<T: Scalar + Send + Sync>(
     bn: usize,
     patches: &mut [T],
     threads: usize,
-    prof: &PoolProfiler,
 ) -> Result<(), ConvError> {
     let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
     let (oh, ow) = (geom.output_height(), geom.output_width());
@@ -175,7 +174,7 @@ fn fill_patches<T: Scalar + Send + Sync>(
     winofuse_runtime::run_sliced_jobs_isolated(
         threads,
         slices,
-        prof,
+        &PoolProfiler::disabled(),
         || (),
         |(), job, slice| {
             let r0 = job * PATCH_ROW_CHUNK;
@@ -195,54 +194,6 @@ fn fill_patches<T: Scalar + Send + Sync>(
     Ok(())
 }
 
-/// Fast direct convolution: im2col lowering followed by the blocked GEMM
-/// of [`crate::gemm`], parallel over patch rows and output-channel blocks
-/// on the shared worker pool. Handles any stride and padding (the cases
-/// Winograd rejects). `threads == 0` auto-detects; results are
-/// bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`ConvError::ShapeMismatch`] when tensor shapes disagree with
-/// `geom` — the same conditions as [`conv2d`].
-pub fn conv2d_fast(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_fast_traced(
-        input,
-        kernels,
-        geom,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-    )
-}
-
-/// [`conv2d_fast`] with worker-lane tracing: fused row-block jobs are
-/// emitted as Chrome-trace slices on per-worker lanes via `prof` (scoped
-/// to `direct.rowblock`), and when `stats` is supplied, per-phase times
-/// and the pack-vs-microkernel split are recorded alongside the exact
-/// flop/byte accounting (the im2col lowering lands in
-/// [`ConvPhase::Scatter`] — zero flops, pure data movement).
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fast`].
-pub fn conv2d_fast_traced(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_fast_ext(input, kernels, geom, threads, stats, prof, None)
-}
-
 /// Thread-local working set for one fused direct-convolution job: GEMM
 /// scratch plus the job's own patch matrix and GEMM result band, sized
 /// once for the largest row block so the job loop never allocates.
@@ -252,14 +203,11 @@ struct RowBlockScratch {
     cbuf: Vec<f32>,
 }
 
-/// A direct-path filter bank lowered once into GEMM `A` panels.
-///
-/// [`conv2d_fast_ext`] packs its filter matrix on every call — fine for
-/// whole-image convolution, but the fused runner convolves the same
-/// filters dozens of times per frame (once per strip). Build this at
-/// plan-lowering time instead and call [`conv2d_fast_packed_ext`]; no
-/// strip ever re-packs coefficients (the same hoist
-/// `BatchedFilters` applies to the Winograd planes).
+/// A direct-path filter bank lowered once into GEMM `A` panels at
+/// plan-lowering time, so no call or strip ever re-packs coefficients
+/// (the same hoist `BatchedFilters` applies to the Winograd planes). Run
+/// it through [`crate::kernel::ConvKernel::Direct`].
+#[derive(Debug, Clone)]
 pub struct PackedKernels {
     packed: PackedA,
     out_c: usize,
@@ -289,177 +237,149 @@ impl PackedKernels {
     pub fn bytes(&self) -> u64 {
         self.packed.bytes()
     }
-}
 
-/// [`conv2d_fast_traced`] with an explicit microkernel pin — the handle
-/// the oracle test matrix uses. Work is partitioned at output-row-block
-/// grain: each job owns [`DIRECT_ROW_BLOCK`] output rows of one image,
-/// lowers exactly those patch columns thread-locally, and runs one GEMM
-/// over all output channels against the filter matrix pre-packed once per
-/// call — one pool invocation total, no im2col/GEMM barrier, no per-job
-/// re-pack of the `A` operand.
-///
-/// Results are bit-identical to the former per-batch barrier grain: every
-/// output element still accumulates its `C·K²` products in ascending
-/// `(channel, ku, kv)` order under the same `KC` blocking.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fast`].
-pub fn conv2d_fast_ext(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    kernel: Option<KernelChoice>,
-) -> Result<Tensor<f32>, ConvError> {
-    check_shapes(input, kernels, geom)?;
-    // The filter matrix is packed into GEMM `A` panels exactly once per
-    // call; every job reuses the shared panels read-only. Callers that
-    // convolve the same filters repeatedly hoist this with
-    // [`PackedKernels`].
-    let packed = PackedKernels::new(kernels);
-    conv2d_fast_packed_ext(input, &packed, geom, threads, stats, prof, kernel)
-}
-
-/// [`conv2d_fast_ext`] against a pre-lowered filter bank: identical
-/// scheduling, partitioning, and bit-exact results, but the `A`-panel
-/// pack is the caller's (one-time) cost.
-///
-/// # Errors
-///
-/// Returns [`ConvError::ShapeMismatch`] when the input or the packed
-/// bank disagrees with `geom` — the same conditions as [`conv2d_fast`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_fast_packed_ext(
-    input: &Tensor<f32>,
-    packed: &PackedKernels,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    kernel: Option<KernelChoice>,
-) -> Result<Tensor<f32>, ConvError> {
-    if input.h() != geom.height() || input.w() != geom.width() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("input {}x{}", geom.height(), geom.width()),
-            found: format!("input {}x{}", input.h(), input.w()),
-        });
-    }
-    if packed.k != geom.kernel() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("kernel {0}x{0}", geom.kernel()),
-            found: format!("kernel {0}x{0}", packed.k),
-        });
-    }
-    if packed.in_c != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} kernel channels", input.c()),
-            found: format!("{}", packed.in_c),
-        });
-    }
-    let threads = winofuse_runtime::resolve_threads(threads);
-    let (batch, in_c, _, _) = input.shape();
-    let out_c = packed.out_c;
-    let (oh, ow) = (geom.output_height(), geom.output_width());
-    let (k, s_stride, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
-    let (ckk, cols) = (in_c * k * k, oh * ow);
-    let micro = kernel.unwrap_or_else(KernelChoice::auto);
-    let timed = stats.is_some();
-    let packed_k = &packed.packed;
-
-    let row_blocks = oh.div_ceil(DIRECT_ROW_BLOCK);
-    let n_jobs = batch * row_blocks;
-    let rows_in_block = |blk: usize| DIRECT_ROW_BLOCK.min(oh - blk * DIRECT_ROW_BLOCK);
-    let max_bc = DIRECT_ROW_BLOCK * ow;
-
-    let mut out = Tensor::zeros(batch, out_c, oh, ow);
-    // Carve the NCHW output into per-job row bands in memory order: each
-    // job owns the same row range in every output-channel plane.
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch * out_c * row_blocks);
-    for bn in 0..batch {
-        for _kk in 0..out_c {
-            for blk in 0..row_blocks {
-                spans.push((bn * row_blocks + blk, rows_in_block(blk) * ow));
-            }
+    /// Fast direct convolution, the body of
+    /// [`crate::kernel::ConvKernel::run`] for direct kernels: im2col
+    /// lowering followed by the blocked GEMM of [`crate::gemm`]. Handles
+    /// any stride and padding (the cases Winograd rejects). Work is
+    /// partitioned at output-row-block grain: each job owns
+    /// [`DIRECT_ROW_BLOCK`] output rows of one image, lowers exactly those
+    /// patch columns thread-locally, and runs one GEMM over all output
+    /// channels against the prepacked filter matrix — one pool invocation
+    /// per call. Jobs trace as `direct.rowblock` slices on `ctx.prof`;
+    /// with `ctx.stats`, the im2col lowering lands in
+    /// [`ConvPhase::Scatter`] (zero flops, pure data movement).
+    ///
+    /// Results are bit-identical at any thread count: every output
+    /// element accumulates its `C·K²` products in ascending
+    /// `(channel, ku, kv)` order under the same `KC` blocking.
+    pub(crate) fn run(
+        &self,
+        input: &Tensor<f32>,
+        geom: ConvGeometry,
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Tensor<f32>, ConvError> {
+        if input.h() != geom.height() || input.w() != geom.width() {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("input {}x{}", geom.height(), geom.width()),
+                found: format!("input {}x{}", input.h(), input.w()),
+            });
         }
-    }
-    let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
+        if self.k != geom.kernel() {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("kernel {0}x{0}", geom.kernel()),
+                found: format!("kernel {0}x{0}", self.k),
+            });
+        }
+        if self.in_c != input.c() {
+            return Err(ConvError::ShapeMismatch {
+                expected: format!("{} kernel channels", input.c()),
+                found: format!("{}", self.in_c),
+            });
+        }
+        let (packed_k, out_c) = (&self.packed, self.out_c);
+        let threads = winofuse_runtime::resolve_threads(ctx.threads);
+        let (batch, in_c, _, _) = input.shape();
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        let (k, s_stride, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
+        let (ckk, cols) = (in_c * k * k, oh * ow);
+        let micro = ctx.micro();
+        let stats = ctx.stats;
+        let timed = stats.is_some();
 
-    let packed_ref = packed_k;
-    winofuse_runtime::run_grouped_jobs_isolated(
-        threads,
-        groups,
-        &prof.scoped("direct.rowblock"),
-        move || RowBlockScratch {
-            gemm: GemmScratch::with_kernel(micro),
-            patches: vec![0.0; ckk * max_bc],
-            cbuf: vec![0.0; out_c * max_bc],
-        },
-        |st, job, frags| {
-            let bn = job / row_blocks;
-            let blk = job % row_blocks;
-            let r0 = blk * DIRECT_ROW_BLOCK;
-            let rows_here = rows_in_block(blk);
-            let bc = rows_here * ow;
-            let patches = &mut st.patches[..ckk * bc];
-            let cbuf = &mut st.cbuf[..out_c * bc];
-            let t_job = stats.map(|_| Instant::now());
+        let row_blocks = oh.div_ceil(DIRECT_ROW_BLOCK);
+        let n_jobs = batch * row_blocks;
+        let rows_in_block = |blk: usize| DIRECT_ROW_BLOCK.min(oh - blk * DIRECT_ROW_BLOCK);
+        let max_bc = DIRECT_ROW_BLOCK * ow;
 
-            // im2col for exactly this job's output positions, rows ordered
-            // (channel, ku, kv) — the order the naive kernels accumulate in.
-            for (r, row) in patches.chunks_exact_mut(bc).enumerate() {
-                let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
-                for i in 0..rows_here {
-                    for j in 0..ow {
-                        let hh = ((r0 + i) * s_stride + u) as isize - pad;
-                        let ww = (j * s_stride + v) as isize - pad;
-                        row[i * ow + j] = input.get_padded(bn, m, hh, ww);
-                    }
+        let mut out = Tensor::zeros(batch, out_c, oh, ow);
+        // Carve the NCHW output into per-job row bands in memory order: each
+        // job owns the same row range in every output-channel plane.
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch * out_c * row_blocks);
+        for bn in 0..batch {
+            for _kk in 0..out_c {
+                for blk in 0..row_blocks {
+                    spans.push((bn * row_blocks + blk, rows_in_block(blk) * ow));
                 }
             }
-            let t_lowered = stats.map(|_| Instant::now());
+        }
+        let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
 
-            // One GEMM over every output channel for this row band.
-            let outcome = crate::gemm::gemm_f32_prepacked(
-                &mut st.gemm,
-                packed_ref,
-                bc,
-                BOperand::row_major(patches, bc),
-                cbuf,
-                timed,
-            );
-            for (kk, frag) in frags.iter_mut().enumerate() {
-                frag.copy_from_slice(&cbuf[kk * bc..(kk + 1) * bc]);
-            }
-            if let (Some(s), Some(t0), Some(tl)) = (stats, t_job, t_lowered) {
-                s.add_gemm(1, outcome.bytes_packed);
-                s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
-                s.add_phase_ns(ConvPhase::Scatter, (tl - t0).as_nanos() as u64);
-                s.add_phase_ns(ConvPhase::Gemm, tl.elapsed().as_nanos() as u64);
-            }
-        },
-    )?;
-    if let Some(s) = stats {
-        // Schedule-invariant analytic accounting, identical to what the
-        // former barrier grain reported in total: the im2col lowering is
-        // pure data movement; the GEMM reads each operand once and writes
-        // the output once, per image.
-        s.add_phase(ConvPhase::Scatter, 0, (batch * 8 * ckk * cols) as u64);
-        let gemm_flops = (batch * 2 * out_c * ckk * cols) as u64;
-        let gemm_bytes = (batch * 4 * (out_c * ckk + ckk * cols + out_c * cols)) as u64;
-        s.add_phase(ConvPhase::Gemm, gemm_flops, gemm_bytes);
+        winofuse_runtime::run_grouped_jobs_isolated(
+            threads,
+            groups,
+            &ctx.prof.scoped("direct.rowblock"),
+            move || RowBlockScratch {
+                gemm: GemmScratch::with_kernel(micro),
+                patches: vec![0.0; ckk * max_bc],
+                cbuf: vec![0.0; out_c * max_bc],
+            },
+            |st, job, frags| {
+                let bn = job / row_blocks;
+                let blk = job % row_blocks;
+                let r0 = blk * DIRECT_ROW_BLOCK;
+                let rows_here = rows_in_block(blk);
+                let bc = rows_here * ow;
+                let patches = &mut st.patches[..ckk * bc];
+                let cbuf = &mut st.cbuf[..out_c * bc];
+                let t_job = stats.map(|_| Instant::now());
+
+                // im2col for exactly this job's output positions, rows ordered
+                // (channel, ku, kv) — the order the naive kernels accumulate in.
+                for (r, row) in patches.chunks_exact_mut(bc).enumerate() {
+                    let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
+                    for i in 0..rows_here {
+                        for j in 0..ow {
+                            let hh = ((r0 + i) * s_stride + u) as isize - pad;
+                            let ww = (j * s_stride + v) as isize - pad;
+                            row[i * ow + j] = input.get_padded(bn, m, hh, ww);
+                        }
+                    }
+                }
+                let t_lowered = stats.map(|_| Instant::now());
+
+                // One GEMM over every output channel for this row band.
+                let outcome = crate::gemm::gemm_f32_prepacked(
+                    &mut st.gemm,
+                    packed_k,
+                    bc,
+                    BOperand::row_major(patches, bc),
+                    cbuf,
+                    timed,
+                );
+                for (kk, frag) in frags.iter_mut().enumerate() {
+                    frag.copy_from_slice(&cbuf[kk * bc..(kk + 1) * bc]);
+                }
+                if let (Some(s), Some(t0), Some(tl)) = (stats, t_job, t_lowered) {
+                    s.add_gemm(1, outcome.bytes_packed);
+                    s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
+                    s.add_phase_ns(ConvPhase::Scatter, (tl - t0).as_nanos() as u64);
+                    s.add_phase_ns(ConvPhase::Gemm, tl.elapsed().as_nanos() as u64);
+                }
+            },
+        )?;
+        if let Some(s) = stats {
+            // Schedule-invariant analytic accounting, identical to what the
+            // former barrier grain reported in total: the im2col lowering is
+            // pure data movement; the GEMM reads each operand once and writes
+            // the output once, per image.
+            s.add_phase(ConvPhase::Scatter, 0, (batch * 8 * ckk * cols) as u64);
+            let gemm_flops = (batch * 2 * out_c * ckk * cols) as u64;
+            let gemm_bytes = (batch * 4 * (out_c * ckk + ckk * cols + out_c * cols)) as u64;
+            s.add_phase(ConvPhase::Gemm, gemm_flops, gemm_bytes);
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
-/// Fast fixed-point direct convolution: the im2col lowering of
-/// [`conv2d_fast`] driven through the wide [`Accumulator`] datapath.
-/// Products accumulate in the same `(channel, ku, kv)` order as
-/// [`conv2d_fix16`] and integer accumulation is exact, so the output is
-/// **bit-identical** to the naive reference at any thread count.
+/// Fast fixed-point direct convolution: im2col lowering driven through
+/// the wide [`Accumulator`] datapath. The inner MAC sweep runs through
+/// [`crate::microkernel::KernelChoice::mac_span_fix16`] for `ctx`'s microkernel — packed
+/// 16-bit lanes widened into 64-bit accumulators on AVX2, the scalar span
+/// otherwise. Integer accumulation is exact and order-free, so the output
+/// is **bit-identical** to [`conv2d_fix16`] at any thread count and with
+/// any kernel. Only `ctx.threads` and `ctx.kernel` are read: the
+/// fixed-point path is neither traced nor fault-injected.
 ///
 /// # Errors
 ///
@@ -469,29 +389,11 @@ pub fn conv2d_fix16_fast(
     input: &Tensor<Fix16>,
     kernels: &Tensor<Fix16>,
     geom: ConvGeometry,
-    threads: usize,
-) -> Result<Tensor<Fix16>, ConvError> {
-    conv2d_fix16_fast_with_kernel(input, kernels, geom, threads, KernelChoice::auto())
-}
-
-/// [`conv2d_fix16_fast`] with an explicit microkernel pin. The inner MAC
-/// sweep runs through [`KernelChoice::mac_span_fix16`] — packed 16-bit
-/// lanes widened into 64-bit accumulators on AVX2, the scalar span
-/// otherwise. Integer accumulation is exact and order-free, so every
-/// kernel is bit-identical to the naive reference.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fix16_fast`].
-pub fn conv2d_fix16_fast_with_kernel(
-    input: &Tensor<Fix16>,
-    kernels: &Tensor<Fix16>,
-    geom: ConvGeometry,
-    threads: usize,
-    micro: KernelChoice,
+    ctx: &ExecCtx<'_>,
 ) -> Result<Tensor<Fix16>, ConvError> {
     check_shapes(input, kernels, geom)?;
-    let threads = winofuse_runtime::resolve_threads(threads);
+    let threads = winofuse_runtime::resolve_threads(ctx.threads);
+    let micro = ctx.micro();
     let (batch, in_c, _, _) = input.shape();
     let out_c = kernels.n();
     let (oh, ow) = (geom.output_height(), geom.output_width());
@@ -506,14 +408,7 @@ pub fn conv2d_fix16_fast_with_kernel(
         .collect();
     let lengths: Vec<usize> = k_blocks.iter().map(|&(_, kb)| kb * cols).collect();
     for bn in 0..batch {
-        fill_patches(
-            input,
-            geom,
-            bn,
-            &mut patches,
-            threads,
-            &PoolProfiler::disabled(),
-        )?;
+        fill_patches(input, geom, bn, &mut patches, threads)?;
         let out_all = out.as_mut_slice();
         let img = &mut out_all[bn * out_c * cols..(bn + 1) * out_c * cols];
         let slices = winofuse_runtime::split_lengths(img, &lengths);
@@ -550,7 +445,20 @@ pub fn conv2d_fix16_fast_with_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::ConvStats;
+    use crate::kernel::ConvKernel;
     use crate::tensor::random_tensor;
+
+    fn fast(
+        x: &Tensor<f32>,
+        k: &Tensor<f32>,
+        geom: ConvGeometry,
+        ctx: &ExecCtx<'_>,
+    ) -> Tensor<f32> {
+        ConvKernel::Direct(PackedKernels::new(k))
+            .run(x, geom, ctx)
+            .unwrap()
+    }
 
     #[test]
     fn identity_kernel_passes_input_through() {
@@ -651,7 +559,7 @@ mod tests {
             let x = random_tensor(2, in_c, h, w, (h * 7 + k) as u64);
             let kn = random_tensor(out_c, in_c, k, k, (w + s) as u64);
             let naive = conv2d(&x, &kn, geom).unwrap();
-            let fast = conv2d_fast(&x, &kn, geom, 1, None).unwrap();
+            let fast = fast(&x, &kn, geom, &ExecCtx::new(1));
             let diff = naive.max_abs_diff(&fast).unwrap();
             assert!(diff < 1e-4, "{h}x{w} k{k} s{s} p{pad}: diff {diff}");
         }
@@ -662,9 +570,9 @@ mod tests {
         let geom = ConvGeometry::rect(13, 11, 3, 2, 1).unwrap();
         let x = random_tensor(1, 5, 13, 11, 51);
         let k = random_tensor(18, 5, 3, 3, 52);
-        let base = conv2d_fast(&x, &k, geom, 1, None).unwrap();
+        let base = fast(&x, &k, geom, &ExecCtx::new(1));
         for threads in [2usize, 4, 8] {
-            let y = conv2d_fast(&x, &k, geom, threads, None).unwrap();
+            let y = fast(&x, &k, geom, &ExecCtx::new(threads));
             assert_eq!(y, base, "{threads}-thread direct fast path differs");
         }
     }
@@ -675,7 +583,11 @@ mod tests {
         let x = random_tensor(1, 2, 8, 8, 3);
         let k = random_tensor(20, 2, 3, 3, 4);
         let stats = ConvStats::new();
-        conv2d_fast(&x, &k, geom, 2, Some(&stats)).unwrap();
+        let ctx = ExecCtx {
+            stats: Some(&stats),
+            ..ExecCtx::new(2)
+        };
+        fast(&x, &k, geom, &ctx);
         let (gemm_calls, _, bytes) = stats.snapshot();
         // 8 output rows over row blocks of 4 = 2 fused jobs, one GEMM each.
         assert_eq!(gemm_calls, 2);
@@ -694,7 +606,7 @@ mod tests {
             let kn: Tensor<Fix16> = random_tensor(4, 3, k, k, (h * w) as u64).cast();
             let naive = conv2d_fix16(&x, &kn, geom).unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let fast = conv2d_fix16_fast(&x, &kn, geom, threads).unwrap();
+                let fast = conv2d_fix16_fast(&x, &kn, geom, &ExecCtx::new(threads)).unwrap();
                 assert_eq!(fast, naive, "{h}x{w} k{k} s{s} p{pad} @{threads}t");
             }
         }

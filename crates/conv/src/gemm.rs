@@ -1,8 +1,8 @@
 //! Cache-blocked, register-tiled f32 GEMM — the engine behind the fast
 //! convolution paths.
 //!
-//! Both batched Winograd ([`crate::winograd::conv2d_batched`]) and im2col
-//! direct convolution ([`crate::direct::conv2d_fast`]) reduce to dense
+//! Both batched Winograd and im2col direct convolution (the two bodies of
+//! [`crate::kernel::ConvKernel::run`]) reduce to dense
 //! `C = A·B` products. This module implements the classic three-level
 //! blocking (Goto/BLIS): `NC`-wide column panels of `B` and `KC`-deep
 //! blocks are packed into contiguous buffers sized for the L3/L2 caches,

@@ -6,12 +6,14 @@
 //!
 //! * [`direct`] — the conventional algorithm (Eq. 1 of the paper),
 //! * [`im2col`] — convolution lowered to matrix multiplication,
-//! * [`fft`] — convolution by the convolution theorem,
 //! * [`winograd`] — Winograd minimal-filtering convolution `F(m×m, r×r)`,
 //!   with transform matrices generated for arbitrary `(m, r)` by the
 //!   Cook–Toom construction in [`cook_toom`],
 //! * [`sparse`] — sparse Winograd: transform-domain pruned CSR filter
-//!   banks and the CSR-panel GEMM the batched path dispatches to.
+//!   banks and the CSR-panel GEMM the batched path dispatches to,
+//! * [`kernel`] — the fast f32 path: a [`kernel::ConvKernel`] prepared
+//!   once per layer (direct, Winograd or sparse) and run through one
+//!   method with an [`kernel::ExecCtx`].
 //!
 //! Supporting pieces: a 4-D NCHW [`tensor::Tensor`], a saturating 16-bit
 //! fixed-point type [`fixed::Fix16`] matching the paper's data type, exact
@@ -37,10 +39,10 @@
 
 pub mod cook_toom;
 pub mod direct;
-pub mod fft;
 pub mod fixed;
 pub mod gemm;
 pub mod im2col;
+pub mod kernel;
 pub mod matrix;
 pub mod microkernel;
 pub mod ops;

@@ -29,7 +29,7 @@
 use crate::cook_toom::WinogradTransform;
 use crate::gemm::{BOperand, GemmBlocking};
 use crate::tensor::Tensor;
-use crate::winograd::TransformedFilters;
+use crate::winograd::{TileTransform, TransformedFilters};
 use crate::ConvError;
 
 /// Per-mille density denominator (1000‰ = dense).
@@ -85,9 +85,8 @@ impl CsrPlane {
 /// [`sparse_keep_count`]`(out_c·in_c, density_pm)` coefficients.
 #[derive(Debug, Clone)]
 pub struct SparseFilters {
-    m: usize,
-    r: usize,
-    alpha: usize,
+    /// The transform's run-time tables, as the dense bank keeps them.
+    pub(crate) tile: TileTransform,
     out_c: usize,
     in_c: usize,
     density_pm: u16,
@@ -175,9 +174,7 @@ impl SparseFilters {
             });
         }
         Ok(SparseFilters {
-            m: transform.m(),
-            r: transform.r(),
-            alpha,
+            tile: TileTransform::new(transform),
             out_c,
             in_c,
             density_pm,
@@ -202,17 +199,7 @@ impl SparseFilters {
 
     /// Tile side `α` of the transform the bank was built with.
     pub fn alpha(&self) -> usize {
-        self.alpha
-    }
-
-    /// Output tile side `m` of the transform.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Filter side `r` of the transform.
-    pub fn r(&self) -> usize {
-        self.r
+        self.tile.alpha
     }
 
     /// Configured retained density in per-mille.

@@ -8,9 +8,10 @@
 
 use crate::cook_toom::{f43, WinogradTransform};
 use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
+use crate::kernel::{ConvKernel, ExecCtx};
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
-use crate::sparse::{sparse_gemm, SparseFilters, SparseKernelChoice};
+use crate::sparse::{sparse_gemm, SparseKernelChoice};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
@@ -289,17 +290,6 @@ pub enum WinoSchedule {
     TransformPoint,
 }
 
-/// Knobs for [`conv2d_batched_ext`]: schedule selection and an explicit
-/// microkernel pin (both default to auto-selection).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchedOptions {
-    /// Parallel partitioning; `Auto` resolves per layer shape.
-    pub schedule: WinoSchedule,
-    /// `None` dispatches to [`KernelChoice::auto`]; tests pin kernels
-    /// explicitly to hold the oracle contract down.
-    pub kernel: Option<KernelChoice>,
-}
-
 /// Filter bank laid out for batched Winograd-as-GEMM: one
 /// `out_c × in_c` row-major GEMM operand per transform-domain point
 /// `(u, v)`, so the α² element-wise products over all tiles collapse into
@@ -307,16 +297,14 @@ pub struct BatchedOptions {
 /// maps onto a systolic array).
 #[derive(Debug, Clone)]
 pub struct BatchedFilters {
-    m: usize,
-    r: usize,
-    alpha: usize,
+    tile: TileTransform,
     out_c: usize,
     in_c: usize,
-    /// `planes[u·α + v][k·in_c + c] = (G·g_{k,c}·Gᵀ)[u][v]`.
-    planes: Vec<Vec<f32>>,
-    /// Each plane pre-packed into GEMM `A` panels under the default
-    /// blocking — built once here (plan-lowering time), so no strip or
-    /// transform-point job ever re-packs filter coefficients.
+    /// Plane `uv` (`[k·in_c + c] = (G·g_{k,c}·Gᵀ)[u][v]`) pre-packed into
+    /// GEMM `A` panels under the default blocking — built once here
+    /// (plan-lowering time), so no strip or transform-point job ever
+    /// re-packs filter coefficients. The packed panels are the bank's
+    /// only copy of the coefficients.
     packed: Vec<PackedA>,
 }
 
@@ -331,28 +319,26 @@ impl BatchedFilters {
         let banks = TransformedFilters::new(kernels, transform)?;
         let (out_c, in_c) = (kernels.n(), kernels.c());
         let alpha = transform.alpha();
-        let aa = alpha * alpha;
-        let mut planes = vec![vec![0.0f32; out_c * in_c]; aa];
+        // Every plane, `[uv][k·in_c + c]`, gathered in one pass over the
+        // banks; the buffer lives only until its planes are packed.
+        let nc = out_c * in_c;
+        let mut planes = vec![0.0f32; alpha * alpha * nc];
         for k in 0..out_c {
             for c in 0..in_c {
                 let bank = banks.bank(k, c).as_slice();
-                for (uv, plane) in planes.iter_mut().enumerate() {
-                    plane[k * in_c + c] = bank[uv];
+                for (uv, &u) in bank.iter().enumerate() {
+                    planes[uv * nc + k * in_c + c] = u;
                 }
             }
         }
         let blocking = GemmBlocking::default();
-        let packed = planes
-            .iter()
-            .map(|p| PackedA::pack(p, out_c, in_c, blocking))
+        let packed = (0..alpha * alpha)
+            .map(|uv| PackedA::pack(&planes[uv * nc..(uv + 1) * nc], out_c, in_c, blocking))
             .collect();
         Ok(BatchedFilters {
-            m: transform.m(),
-            r: transform.r(),
-            alpha,
+            tile: TileTransform::new(transform),
             out_c,
             in_c,
-            planes,
             packed,
         })
     }
@@ -374,13 +360,37 @@ impl BatchedFilters {
 
     /// Tile side `α` of the transform the bank was built with.
     pub fn alpha(&self) -> usize {
-        self.alpha
+        self.tile.alpha
     }
 
     /// Total transformed coefficients held by the bank (`α²·N·C`) — the
     /// element count an accelerator streaming this bank would transfer.
     pub fn coefficients(&self) -> usize {
-        self.planes.len() * self.out_c * self.in_c
+        self.packed.len() * self.out_c * self.in_c
+    }
+}
+
+/// What the batched kernels read of an `F(m, r)` transform at run time,
+/// owned by each bank so no call can pair a bank with another transform:
+/// the tile sizes, and `Bᵀ` (scatter) and `Aᵀ` (gather) as nonzero lists.
+#[derive(Debug, Clone)]
+pub(crate) struct TileTransform {
+    m: usize,
+    r: usize,
+    pub(crate) alpha: usize,
+    b_nz: NzRows,
+    a_nz: NzRows,
+}
+
+impl TileTransform {
+    pub(crate) fn new(transform: &WinogradTransform) -> Self {
+        TileTransform {
+            m: transform.m(),
+            r: transform.r(),
+            alpha: transform.alpha(),
+            b_nz: NzRows::new(&transform.b_t_f32()),
+            a_nz: NzRows::new(&transform.a_t_f32()),
+        }
     }
 }
 
@@ -392,6 +402,7 @@ type Lane = [f32; LANES];
 /// A transform matrix (`Bᵀ` or `Aᵀ`) as per-row lists of its nonzero
 /// `(column, coefficient)` entries in ascending column order, built once
 /// per layer so the transform kernels never touch a zero coefficient.
+#[derive(Debug, Clone)]
 struct NzRows {
     cols: usize,
     rows: Vec<Vec<(usize, f32)>>,
@@ -541,124 +552,47 @@ impl LaneBufs {
     }
 }
 
-/// Batched Winograd convolution: scatter (input transforms), α² GEMMs
-/// against the pre-packed filter planes, gather (output transforms with
-/// edge clipping). Work is partitioned per [`WinoSchedule::Auto`];
-/// `threads == 0` means auto-detect, `1` runs inline.
-///
-/// Results are bit-identical for any thread count **and any schedule**:
-/// jobs partition the tile/channel space in fixed-size blocks whose
-/// contents and accumulation order never depend on the worker count, and
-/// every schedule accumulates each output element's `in_c` products in
-/// the same ascending order under the same `KC` blocking.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_pretransformed`]; the filter bank must have
-/// been built with the same transform.
-pub fn conv2d_batched(
-    input: &Tensor<f32>,
-    filters: &BatchedFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
+/// Runs transform point `uv`'s GEMM `C[out_c × n] = A_uv · B` into `c`
+/// against a dense or a pruned bank. Accumulation association is
+/// identical across the two arms (same `KC` blocking), so a density-1000
+/// sparse bank is bit-identical to its dense counterpart.
+#[allow(clippy::too_many_arguments)] // a GEMM's operands plus observability
+fn gemm_plane(
+    bank: &ConvKernel,
+    scratch: &mut GemmScratch,
+    uv: usize,
+    n: usize,
+    b: BOperand<'_>,
+    c: &mut [f32],
+    timed: bool,
     stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-        BatchedOptions::default(),
-    )
-}
-
-/// [`conv2d_batched`] with worker-lane tracing: jobs are emitted as
-/// Chrome-trace slices on per-worker lanes via `prof` (scoped to
-/// `wino.scatter` / `wino.gemm` / `wino.gather` under the transform-point
-/// schedule, `wino.tileblock` under the fused tile-block schedule), and
-/// when `stats` is supplied, per-phase times and the GEMM
-/// pack-vs-microkernel split are recorded alongside the exact flop/byte
-/// accounting.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched`].
-pub fn conv2d_batched_traced(
-    input: &Tensor<f32>,
-    filters: &BatchedFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        BatchedOptions::default(),
-    )
-}
-
-/// The filter bank a batched run draws its per-transform-point GEMM `A`
-/// operand from: the dense pre-packed planes, or the pruned CSR planes of
-/// a sparse-Winograd layer. Both produce one GEMM-shaped product per
-/// transform point over the same scatter/gather pipeline, so the two
-/// paths share every schedule.
-#[derive(Clone, Copy)]
-enum BankRef<'a> {
-    Dense(&'a BatchedFilters),
-    Sparse(&'a SparseFilters),
-}
-
-impl BankRef<'_> {
-    /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · B`
-    /// into `c`, dense or sparse. Accumulation association is identical
-    /// across the two arms (same `KC` blocking), so a density-1000
-    /// sparse bank is bit-identical to its dense counterpart.
-    #[allow(clippy::too_many_arguments)] // a GEMM's operands plus observability
-    fn gemm_plane(
-        &self,
-        scratch: &mut GemmScratch,
-        uv: usize,
-        n: usize,
-        b: BOperand<'_>,
-        c: &mut [f32],
-        timed: bool,
-        stats: Option<&ConvStats>,
-    ) {
-        match self {
-            BankRef::Dense(f) => {
-                let outcome =
-                    crate::gemm::gemm_f32_prepacked(scratch, f.packed_plane(uv), n, b, c, timed);
-                if let Some(s) = stats {
-                    s.add_gemm(1, outcome.bytes_packed);
-                    s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
-                }
+) {
+    match bank {
+        ConvKernel::Winograd(f) => {
+            let outcome =
+                crate::gemm::gemm_f32_prepacked(scratch, f.packed_plane(uv), n, b, c, timed);
+            if let Some(s) = stats {
+                s.add_gemm(1, outcome.bytes_packed);
+                s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
             }
-            BankRef::Sparse(f) => {
-                sparse_gemm(
-                    SparseKernelChoice::Scalar,
-                    f.plane(uv),
-                    f.in_c(),
-                    n,
-                    b,
-                    c,
-                    GemmBlocking::default(),
-                );
-                if let Some(s) = stats {
-                    // No panel packing on the CSR path.
-                    s.add_gemm(1, 0);
-                }
+        }
+        ConvKernel::Sparse(f) => {
+            sparse_gemm(
+                SparseKernelChoice::Scalar,
+                f.plane(uv),
+                f.in_c(),
+                n,
+                b,
+                c,
+                GemmBlocking::default(),
+            );
+            if let Some(s) = stats {
+                // No panel packing on the CSR path.
+                s.add_gemm(1, 0);
             }
+        }
+        ConvKernel::Direct(_) => {
+            unreachable!("invariant: batched Winograd runs on a Winograd bank")
         }
     }
 }
@@ -667,7 +601,7 @@ impl BankRef<'_> {
 /// validation.
 struct WinoCtx<'a> {
     input: &'a Tensor<f32>,
-    bank: BankRef<'a>,
+    bank: &'a ConvKernel,
     threads: usize,
     kernel: KernelChoice,
     timed: bool,
@@ -675,8 +609,8 @@ struct WinoCtx<'a> {
     alpha: usize,
     aa: usize,
     /// `Bᵀ` (scatter) and `Aᵀ` (gather) as nonzero lists.
-    b_nz: NzRows,
-    a_nz: NzRows,
+    b_nz: &'a NzRows,
+    a_nz: &'a NzRows,
     batch: usize,
     in_c: usize,
     out_c: usize,
@@ -747,8 +681,8 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
     // 2·nnz·P for the pruned CSR planes; each operand read once and the
     // transform-domain product written once.
     let a_elems = match cx.bank {
-        BankRef::Dense(_) => (aa * cx.out_c * cx.in_c) as u64,
-        BankRef::Sparse(f) => f.nnz_total(),
+        ConvKernel::Sparse(f) => f.nnz_total(),
+        _ => (aa * cx.out_c * cx.in_c) as u64,
     };
     let gemm_flops = 2 * a_elems * cx.p_total as u64;
     let gemm_bytes = 4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
@@ -761,38 +695,41 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
     s.add_phase(ConvPhase::Gather, gather_flops, gather_bytes);
 }
 
-/// [`conv2d_batched`] with explicit [`BatchedOptions`] — the full entry
-/// point: schedule pinning for the determinism tests, kernel pinning for
-/// the microkernel oracle matrix, tracing for the profiler.
+/// Batched Winograd convolution, the body of [`ConvKernel::run`] for
+/// Winograd and sparse banks: scatter (input transforms), α² GEMMs
+/// against the bank's planes, gather (output transforms with edge
+/// clipping), partitioned per `ctx.schedule`.
 ///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched`].
-#[allow(clippy::too_many_arguments)] // the batched entry plus observability
-pub fn conv2d_batched_ext(
+/// Results are bit-identical for any thread count **and any schedule**:
+/// jobs partition the tile/channel space in fixed-size blocks whose
+/// contents and accumulation order never depend on the worker count, and
+/// every schedule accumulates each output element's `in_c` products in
+/// the same ascending order under the same `KC` blocking. When
+/// `ctx.stats` is supplied, per-phase times and the GEMM
+/// pack-vs-microkernel split are recorded alongside the exact flop/byte
+/// accounting; jobs trace as `wino.scatter` / `wino.gemm` / `wino.gather`
+/// (transform-point schedule) or `wino.tileblock` slices on `ctx.prof`.
+pub(crate) fn run_batched(
+    bank: &ConvKernel,
     input: &Tensor<f32>,
-    filters: &BatchedFilters,
     geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    opts: BatchedOptions,
+    ctx: &ExecCtx<'_>,
 ) -> Result<Tensor<f32>, ConvError> {
+    let (tile, in_c, out_c) = match bank {
+        ConvKernel::Winograd(f) => (&f.tile, f.in_c, f.out_c),
+        ConvKernel::Sparse(f) => (&f.tile, f.in_c(), f.out_c()),
+        ConvKernel::Direct(_) => {
+            unreachable!("invariant: batched Winograd runs on a Winograd bank")
+        }
+    };
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
             stride: geom.stride(),
         });
     }
-    if filters.m != transform.m() || filters.r != transform.r() {
+    if geom.kernel() != tile.r {
         return Err(ConvError::ShapeMismatch {
-            expected: format!("filter bank for F({},{})", transform.m(), transform.r()),
-            found: format!("bank for F({},{})", filters.m, filters.r),
-        });
-    }
-    if geom.kernel() != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("kernel size {} for this transform", transform.r()),
+            expected: format!("kernel size {} for this transform", tile.r),
             found: format!("{}", geom.kernel()),
         });
     }
@@ -802,132 +739,15 @@ pub fn conv2d_batched_ext(
             found: format!("{}x{}", input.h(), input.w()),
         });
     }
-    if filters.in_c != input.c() {
+    if in_c != input.c() {
         return Err(ConvError::ShapeMismatch {
-            expected: format!("{} input channels", filters.in_c),
+            expected: format!("{in_c} input channels"),
             found: format!("{}", input.c()),
         });
     }
 
-    run_batched(
-        BankRef::Dense(filters),
-        filters.out_c,
-        input,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        opts,
-    )
-}
-
-/// [`conv2d_batched_ext`] for a *sparse* (transform-domain pruned) filter
-/// bank: identical scatter and gather, with each transform point's GEMM
-/// running the CSR-panel kernel over the pruned plane. At density 1000
-/// the output is bit-identical to [`conv2d_batched_ext`] on the dense
-/// bank of the same kernels; at lower densities it approximates the
-/// dense convolution with the pruning error of the retained
-/// coefficients.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched`].
-#[allow(clippy::too_many_arguments)] // mirrors the dense batched entry
-pub fn conv2d_batched_sparse_ext(
-    input: &Tensor<f32>,
-    filters: &SparseFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    opts: BatchedOptions,
-) -> Result<Tensor<f32>, ConvError> {
-    if geom.stride() != 1 {
-        return Err(ConvError::StrideUnsupported {
-            stride: geom.stride(),
-        });
-    }
-    if filters.m() != transform.m() || filters.r() != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("filter bank for F({},{})", transform.m(), transform.r()),
-            found: format!("bank for F({},{})", filters.m(), filters.r()),
-        });
-    }
-    if geom.kernel() != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("kernel size {} for this transform", transform.r()),
-            found: format!("{}", geom.kernel()),
-        });
-    }
-    if input.h() != geom.height() || input.w() != geom.width() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("input {}x{}", geom.height(), geom.width()),
-            found: format!("{}x{}", input.h(), input.w()),
-        });
-    }
-    if filters.in_c() != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} input channels", filters.in_c()),
-            found: format!("{}", input.c()),
-        });
-    }
-    run_batched(
-        BankRef::Sparse(filters),
-        filters.out_c(),
-        input,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        opts,
-    )
-}
-
-/// [`conv2d_batched_sparse_ext`] with default options and no tracing.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched_sparse_ext`].
-pub fn conv2d_batched_sparse(
-    input: &Tensor<f32>,
-    filters: &SparseFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_sparse_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-        BatchedOptions::default(),
-    )
-}
-
-/// Shared post-validation core of the dense and sparse batched paths:
-/// resolves the schedule on shape alone and dispatches.
-#[allow(clippy::too_many_arguments)]
-fn run_batched(
-    bank: BankRef<'_>,
-    out_c: usize,
-    input: &Tensor<f32>,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    opts: BatchedOptions,
-) -> Result<Tensor<f32>, ConvError> {
-    let m = transform.m();
-    let alpha = transform.alpha();
-    let (batch, in_c, _, _) = input.shape();
+    let (m, alpha) = (tile.m, tile.alpha);
+    let batch = input.n();
     let (oh, ow) = (geom.output_height(), geom.output_width());
     let tiles_h = oh.div_ceil(m);
     let tiles_w = ow.div_ceil(m);
@@ -935,14 +755,14 @@ fn run_batched(
     let cx = WinoCtx {
         input,
         bank,
-        threads: winofuse_runtime::resolve_threads(threads),
-        kernel: opts.kernel.unwrap_or_else(KernelChoice::auto),
-        timed: stats.is_some(),
+        threads: winofuse_runtime::resolve_threads(ctx.threads),
+        kernel: ctx.micro(),
+        timed: ctx.stats.is_some(),
         m,
         alpha,
         aa: alpha * alpha,
-        b_nz: NzRows::new(&transform.b_t_f32()),
-        a_nz: NzRows::new(&transform.a_t_f32()),
+        b_nz: &tile.b_nz,
+        a_nz: &tile.a_nz,
         batch,
         in_c,
         out_c,
@@ -956,7 +776,7 @@ fn run_batched(
 
     // Resolve `Auto` on shape alone (never on thread count — the schedule
     // must be deterministic for a given layer so profiles reproduce).
-    let schedule = match opts.schedule {
+    let schedule = match ctx.schedule {
         WinoSchedule::Auto => {
             if batch * tiles_per_img.div_ceil(WINO_TILE_BLOCK) >= TILE_BLOCK_MIN_JOBS {
                 WinoSchedule::TileBlock
@@ -967,10 +787,10 @@ fn run_batched(
         pinned => pinned,
     };
     let out = match schedule {
-        WinoSchedule::TileBlock => run_tile_block(&cx, stats, prof)?,
-        _ => run_transform_point(&cx, stats, prof)?,
+        WinoSchedule::TileBlock => run_tile_block(&cx, ctx.stats, &ctx.prof)?,
+        _ => run_transform_point(&cx, ctx.stats, &ctx.prof)?,
     };
-    if let Some(s) = stats {
+    if let Some(s) = ctx.stats {
         add_phase_totals(&cx, s);
     }
     Ok(out)
@@ -1016,7 +836,7 @@ fn run_transform_point(
                     for lane in 0..n {
                         cx.load_tile(bn, c0 + lane, origin, &mut lanes.src, lane);
                     }
-                    lanes.transform(&cx.b_nz);
+                    lanes.transform(cx.b_nz);
                     lanes.store_lanes(chunk, in_c, c0, n);
                 }
             }
@@ -1040,8 +860,7 @@ fn run_transform_point(
             // B operand: V_uv is [in_c × p_total] with element (c, p)
             // at V[p·α²·in_c + uv·in_c + c].
             let b_op = BOperand::strided(&v_ref[uv * in_c..], 1, aa * in_c);
-            cx.bank
-                .gemm_plane(scratch, uv, p_total, b_op, slice, cx.timed, stats);
+            gemm_plane(cx.bank, scratch, uv, p_total, b_op, slice, cx.timed, stats);
             add_job_ns(ConvPhase::Gemm, t_job);
         },
     )?;
@@ -1074,7 +893,7 @@ fn run_transform_point(
                     let n = LANES.min(tiles_per_img - t0);
                     let base = k * p_total + bn * tiles_per_img + t0;
                     lanes.load_lanes(m_ref, out_c * p_total, base, n);
-                    lanes.transform(&cx.a_nz);
+                    lanes.transform(cx.a_nz);
                     for lane in 0..n {
                         let t = t0 + lane;
                         let (oi, oj) = ((t / tiles_w) * m, (t % tiles_w) * m);
@@ -1190,7 +1009,7 @@ fn run_tile_block(
                     for (lane, &origin) in origins[g0..g0 + n].iter().enumerate() {
                         cx.load_tile(bn, c, origin, &mut lanes.src, lane);
                     }
-                    lanes.transform(&cx.b_nz);
+                    lanes.transform(cx.b_nz);
                     lanes.store_lanes(v, in_c * nt, c * nt + g0, n);
                 }
             }
@@ -1199,7 +1018,8 @@ fn run_tile_block(
             // α² prepacked (or CSR) GEMMs over this block's tiles only.
             for uv in 0..aa {
                 let b_op = BOperand::row_major(&v[uv * in_c * nt..(uv + 1) * in_c * nt], nt);
-                cx.bank.gemm_plane(
+                gemm_plane(
+                    cx.bank,
                     gemm,
                     uv,
                     nt,
@@ -1234,7 +1054,7 @@ fn run_tile_block(
                 for g0 in (0..nt).step_by(LANES) {
                     let n = LANES.min(nt - g0);
                     lanes.load_lanes(mbuf, out_c * nt, k * nt + g0, n);
-                    lanes.transform(&cx.a_nz);
+                    lanes.transform(cx.a_nz);
                     for (lane, &(row0, col0, rows, cols)) in places[g0..g0 + n].iter().enumerate() {
                         for u in 0..rows {
                             let row = &mut k_frags[row0 + u][col0..col0 + cols];
@@ -1253,30 +1073,6 @@ fn run_tile_block(
         },
     )?;
     Ok(out)
-}
-
-/// Batched `F(4×4, 3×3)` Winograd convolution (transforms the filters on
-/// the fly; reuse a [`BatchedFilters`] via [`conv2d_batched`] when running
-/// the same layer repeatedly).
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_f43`].
-pub fn conv2d_f43_fast(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-) -> Result<Tensor<f32>, ConvError> {
-    if kernels.c() != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} kernel channels", input.c()),
-            found: format!("{}", kernels.c()),
-        });
-    }
-    let transform = f43();
-    let filters = BatchedFilters::new(kernels, &transform)?;
-    conv2d_batched(input, &filters, geom, &transform, threads, None)
 }
 
 /// Winograd convolution on the 16-bit fixed-point datapath, modeling the
@@ -1405,6 +1201,17 @@ mod tests {
     use crate::cook_toom::f23;
     use crate::direct;
     use crate::tensor::random_tensor;
+
+    fn bank(k: &Tensor<f32>, t: &WinogradTransform) -> ConvKernel {
+        ConvKernel::Winograd(BatchedFilters::new(k, t).unwrap())
+    }
+
+    fn pinned(threads: usize, schedule: WinoSchedule) -> ExecCtx<'static> {
+        ExecCtx {
+            schedule,
+            ..ExecCtx::new(threads)
+        }
+    }
 
     fn assert_matches_direct(transform: &WinogradTransform, h: usize, w: usize, pad: usize) {
         let r = transform.r();
@@ -1563,7 +1370,7 @@ mod tests {
             let x = random_tensor(2, in_c, h, w, (h * 131 + w) as u64);
             let k = random_tensor(out_c, in_c, 3, 3, (h + w + pad) as u64);
             let naive = conv2d_f43(&x, &k, geom).unwrap();
-            let fast = conv2d_f43_fast(&x, &k, geom, 1).unwrap();
+            let fast = bank(&k, &f43()).run(&x, geom, &ExecCtx::new(1)).unwrap();
             let diff = naive.max_abs_diff(&fast).unwrap();
             assert!(
                 diff < 1e-4,
@@ -1577,11 +1384,10 @@ mod tests {
         let geom = ConvGeometry::rect(17, 13, 3, 1, 1).unwrap();
         let x = random_tensor(1, 6, 17, 13, 91);
         let k = random_tensor(10, 6, 3, 3, 92);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
-        let base = conv2d_batched(&x, &filters, geom, &t, 1, None).unwrap();
+        let filters = bank(&k, &f43());
+        let base = filters.run(&x, geom, &ExecCtx::new(1)).unwrap();
         for threads in [2usize, 4, 8] {
-            let y = conv2d_batched(&x, &filters, geom, &t, threads, None).unwrap();
+            let y = filters.run(&x, geom, &ExecCtx::new(threads)).unwrap();
             assert_eq!(y, base, "{threads}-thread batched winograd differs");
         }
     }
@@ -1591,10 +1397,12 @@ mod tests {
         let geom = ConvGeometry::rect(12, 12, 3, 1, 1).unwrap();
         let x = random_tensor(1, 2, 12, 12, 5);
         let k = random_tensor(3, 2, 3, 3, 6);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
         let stats = ConvStats::new();
-        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        let ctx = ExecCtx {
+            stats: Some(&stats),
+            ..ExecCtx::new(1)
+        };
+        bank(&k, &f43()).run(&x, geom, &ctx).unwrap();
         let (gemm_calls, tiles, bytes) = stats.snapshot();
         // 12x12 output over 4x4 tiles = 3x3 tiles; 36 transform points with
         // out_c=3 fit one GEMM job each.
@@ -1610,20 +1418,12 @@ mod tests {
         let geom = ConvGeometry::rect(37, 29, 3, 1, 1).unwrap();
         let x = random_tensor(2, 5, 37, 29, 71);
         let k = random_tensor(9, 5, 3, 3, 72);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
-        let tp = BatchedOptions {
-            schedule: WinoSchedule::TransformPoint,
-            kernel: None,
-        };
-        let tb = BatchedOptions {
-            schedule: WinoSchedule::TileBlock,
-            kernel: None,
-        };
-        let prof = PoolProfiler::disabled();
-        let base = conv2d_batched_ext(&x, &filters, geom, &t, 1, None, &prof, tp).unwrap();
+        let filters = bank(&k, &f43());
+        let tp = pinned(1, WinoSchedule::TransformPoint);
+        let base = filters.run(&x, geom, &tp).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let y = conv2d_batched_ext(&x, &filters, geom, &t, threads, None, &prof, tb).unwrap();
+            let tb = pinned(threads, WinoSchedule::TileBlock);
+            let y = filters.run(&x, geom, &tb).unwrap();
             assert_eq!(y, base, "tile-block @ {threads} threads differs");
         }
     }
@@ -1634,14 +1434,8 @@ mod tests {
         let geom = ConvGeometry::rect(6, 6, 3, 1, 1).unwrap();
         let x = random_tensor(1, 2, 6, 6, 81);
         let k = random_tensor(3, 2, 3, 3, 82);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
-        let tb = BatchedOptions {
-            schedule: WinoSchedule::TileBlock,
-            kernel: None,
-        };
-        let prof = PoolProfiler::disabled();
-        let y = conv2d_batched_ext(&x, &filters, geom, &t, 2, None, &prof, tb).unwrap();
+        let tb = pinned(2, WinoSchedule::TileBlock);
+        let y = bank(&k, &f43()).run(&x, geom, &tb).unwrap();
         let reference = direct::conv2d(&x, &k, geom).unwrap();
         assert!(reference.approx_eq(&y, 1e-3));
     }
@@ -1653,10 +1447,12 @@ mod tests {
         let geom = ConvGeometry::rect(24, 24, 3, 1, 1).unwrap();
         let x = random_tensor(2, 3, 24, 24, 7);
         let k = random_tensor(4, 3, 3, 3, 8);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
         let stats = ConvStats::new();
-        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        let ctx = ExecCtx {
+            stats: Some(&stats),
+            ..ExecCtx::new(1)
+        };
+        bank(&k, &f43()).run(&x, geom, &ctx).unwrap();
         let (gemm_calls, tiles, _) = stats.snapshot();
         assert_eq!(tiles, 72);
         assert_eq!(gemm_calls, 144);
@@ -1667,16 +1463,14 @@ mod tests {
         let geom = ConvGeometry::rect(24, 20, 3, 1, 1).unwrap();
         let x = random_tensor(1, 4, 24, 20, 17);
         let k = random_tensor(6, 4, 3, 3, 18);
-        let t = f43();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
-        let prof = PoolProfiler::disabled();
+        let filters = bank(&k, &f43());
         let snap = |schedule: WinoSchedule| {
             let stats = ConvStats::new();
-            let opts = BatchedOptions {
-                schedule,
-                kernel: None,
+            let ctx = ExecCtx {
+                stats: Some(&stats),
+                ..pinned(2, schedule)
             };
-            conv2d_batched_ext(&x, &filters, geom, &t, 2, Some(&stats), &prof, opts).unwrap();
+            filters.run(&x, geom, &ctx).unwrap();
             stats.profile()
         };
         let a = snap(WinoSchedule::TransformPoint);
@@ -1705,10 +1499,12 @@ mod tests {
         let geom = ConvGeometry::rect(6, 6, 3, 1, 1).unwrap();
         let x = random_tensor(1, 3, 6, 6, 3);
         let k = random_tensor(5, 3, 3, 3, 4);
-        let t = f23();
-        let filters = BatchedFilters::new(&k, &t).unwrap();
         let stats = ConvStats::new();
-        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        let ctx = ExecCtx {
+            stats: Some(&stats),
+            ..ExecCtx::new(1)
+        };
+        bank(&k, &f23()).run(&x, geom, &ctx).unwrap();
         let p = stats.profile();
         let tiles = 9;
         assert_eq!(p.flops_scatter, tiles * 3 * 2 * 8 * 8);
@@ -1716,28 +1512,30 @@ mod tests {
     }
 
     #[test]
-    fn batched_rejects_mismatched_transform() {
-        let geom = ConvGeometry::new(8, 8, 3, 1, 1).unwrap();
+    fn batched_rejects_mismatched_geometry() {
         let x = random_tensor(1, 2, 8, 8, 1);
         let k = random_tensor(2, 2, 3, 3, 2);
-        let filters = BatchedFilters::new(&k, &f43()).unwrap();
-        assert!(conv2d_batched(&x, &filters, geom, &f23(), 1, None).is_err());
+        let filters = bank(&k, &f43());
+        let ctx = ExecCtx::new(1);
+        let five = ConvGeometry::new(8, 8, 5, 1, 2).unwrap();
+        assert!(filters.run(&x, five, &ctx).is_err());
         let strided = ConvGeometry::new(8, 8, 3, 2, 0).unwrap();
         assert_eq!(
-            conv2d_batched(&x, &filters, strided, &f43(), 1, None),
+            filters.run(&x, strided, &ctx),
             Err(ConvError::StrideUnsupported { stride: 2 })
         );
+        let narrow = random_tensor(1, 3, 8, 8, 3);
+        let geom = ConvGeometry::new(8, 8, 3, 1, 1).unwrap();
+        assert!(filters.run(&narrow, geom, &ctx).is_err());
     }
 
     #[test]
     fn batched_works_for_other_tile_sizes() {
         // The batching is generic over the transform, not F(4,3)-specific.
-        let t = f23();
         let geom = ConvGeometry::rect(9, 9, 3, 1, 1).unwrap();
         let x = random_tensor(1, 3, 9, 9, 41);
         let k = random_tensor(4, 3, 3, 3, 42);
-        let filters = BatchedFilters::new(&k, &t).unwrap();
-        let fast = conv2d_batched(&x, &filters, geom, &t, 2, None).unwrap();
+        let fast = bank(&k, &f23()).run(&x, geom, &ExecCtx::new(2)).unwrap();
         let reference = direct::conv2d(&x, &k, geom).unwrap();
         assert!(reference.approx_eq(&fast, 1e-3));
     }

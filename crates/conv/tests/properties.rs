@@ -154,28 +154,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn fft_matches_direct(
-        h in 4usize..14,
-        k in 1usize..5,
-        s in 1usize..3,
-        pad in 0usize..2,
-        in_c in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(k <= h + 2 * pad);
-        let geom = ConvGeometry::rect(h, h, k, s, pad).unwrap();
-        let x = random_tensor(1, in_c, h, h, seed);
-        let kr = random_tensor(2, in_c, k, k, seed + 31);
-        let a = direct::conv2d(&x, &kr, geom).unwrap();
-        let b = winofuse_conv::fft::conv2d(&x, &kr, geom).unwrap();
-        prop_assert!(
-            a.approx_eq(&b, tol(in_c, k)),
-            "max diff {}", a.max_abs_diff(&b).unwrap()
-        );
-    }
-}

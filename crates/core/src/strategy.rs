@@ -228,7 +228,10 @@ mod tests {
     #[test]
     #[allow(clippy::single_range_in_vec_init)] // single-group tilings are the point
     fn sparse_layers_count_separately_and_mix_is_heterogeneous() {
-        let pairs = vec![(Algorithm::Conventional, 1), (Algorithm::sparse_f43(250), 1)];
+        let pairs = vec![
+            (Algorithm::Conventional, 1),
+            (Algorithm::sparse_f43(250), 1),
+        ];
         let s = Strategy::from_groups(&[0..2], &pairs).unwrap();
         assert!(s.is_heterogeneous());
         assert_eq!(s.winograd_layer_count(), 0);

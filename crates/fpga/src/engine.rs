@@ -911,10 +911,7 @@ mod tests {
         assert_eq!(sparse_stream_bytes(4, 8, 6, 250), 36 * (8 * 4 + 5 * 4));
         // Density 1000 degenerates to all coefficients plus CSR overhead.
         assert_eq!(sparse_nnz(32, 1000), 32);
-        assert_eq!(
-            sparse_stream_bytes(4, 8, 6, 1000),
-            36 * (32 * 4 + 5 * 4)
-        );
+        assert_eq!(sparse_stream_bytes(4, 8, 6, 1000), 36 * (32 * 4 + 5 * 4));
     }
 
     #[test]

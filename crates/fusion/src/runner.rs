@@ -24,21 +24,22 @@
 //! ladder in `DESIGN.md` §12).
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
+use winofuse_conv::direct::{self, PackedKernels};
 use winofuse_conv::fixed::{saturation_count, Fix16};
+use winofuse_conv::kernel::{ConvKernel, ExecCtx};
 use winofuse_conv::ops::PoolKind;
-use winofuse_conv::tensor::{Scalar, Tensor};
 use winofuse_conv::sparse::SparseFilters;
-use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
-use winofuse_conv::{direct, winograd, ConvGeometry};
+use winofuse_conv::tensor::{Scalar, Tensor};
+use winofuse_conv::winograd::BatchedFilters;
+use winofuse_conv::ConvGeometry;
 use winofuse_fpga::engine::Algorithm;
 use winofuse_model::layer::{ConvParams, LayerKind, LrnSpec, PoolParams};
 use winofuse_model::network::Network;
 use winofuse_model::runtime::{LayerWeights, NetworkWeights};
 use winofuse_model::shape::{DataType, FmShape};
-use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
+use winofuse_runtime::faults::{run_ladder, Failure, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
@@ -168,29 +169,26 @@ impl<T> FusedRunReport<T> {
     }
 }
 
-/// One conv stage's prepared state: per-group kernel banks for every
+/// One conv stage's prepared state: per-group kernels for every
 /// datapath the runner may drive, plus the weight-stream cost the plan's
 /// algorithm choice implies.
 struct ConvStage {
     params: ConvParams,
-    /// Per-group `f32` kernel slices lowered into GEMM `A` panels once at
-    /// plan-lowering time: strips on the direct datapath reuse these
-    /// read-only instead of re-packing the filter matrix on every call.
-    kernels_packed: Vec<direct::PackedKernels>,
+    /// Per-group `f32` kernels, prepared once at plan-lowering time so no
+    /// strip re-packs or re-transforms coefficients: a Winograd bank
+    /// whenever the `F(4,3)` CPU kernel hosts the shape (3×3, stride 1) —
+    /// regardless of the plan's algorithm choice, which only governs
+    /// weight metering — a pruned CSR bank when the plan chose sparse
+    /// Winograd on a hosted shape (the fused datapath then computes with
+    /// the *pruned* coefficients, as the accelerator's sparse array
+    /// would), and prepacked direct kernels otherwise (e.g. AlexNet's
+    /// 5×5 conv2, numerically equivalent, metered per the plan).
+    kernels: Vec<ConvKernel>,
+    /// Per-group prepacked direct kernels for the unfused fallback rung;
+    /// empty when `kernels` are direct already.
+    fallback: Vec<ConvKernel>,
     /// Per-group quantized kernels (exact fixed-point path).
     kernels_fix: Vec<Tensor<Fix16>>,
-    /// Pre-transformed per-group banks whenever the `F(4,3)` CPU kernel
-    /// hosts the shape (3×3, stride 1) — regardless of the plan's
-    /// algorithm choice, which only governs weight metering. A layer the
-    /// CPU kernel cannot host (e.g. AlexNet's 5×5 conv2) computes via
-    /// the direct kernels — numerically equivalent — while weight
-    /// metering still follows the plan's stream.
-    banks: Option<Vec<BatchedFilters>>,
-    /// Pruned CSR per-group banks when the plan chose sparse Winograd on
-    /// a CPU-hosted shape: the fused datapath then computes with the
-    /// *pruned* coefficients, matching what the accelerator's sparse
-    /// array would produce (not the dense forward).
-    sparse_banks: Option<Vec<SparseFilters>>,
     /// DRAM bytes the accelerator streams for this layer's weights per
     /// frame, measured from the actually-prepared banks where possible.
     weight_stream_bytes: u64,
@@ -239,18 +237,15 @@ impl RunnerStage {
 trait RunnerElement: Scalar + PartialOrd {
     /// Runs one conv stage on a materialized zero-padded strip (one
     /// group's channel slice), honoring the plan's algorithm choice
-    /// unless `force_direct` pins the blocked direct kernels (the
+    /// unless `force_direct` pins the prepacked direct kernels (the
     /// lenient-mode fallback rung — numerically identical to the
     /// unfused direct executor).
-    #[allow(clippy::too_many_arguments)]
     fn conv_group_strip(
         stage: &ConvStage,
         group: usize,
         strip: &Tensor<Self>,
         geom: ConvGeometry,
-        transform: &WinogradTransform,
-        threads: usize,
-        prof: &PoolProfiler,
+        ctx: &ExecCtx<'_>,
         force_direct: bool,
     ) -> Result<Tensor<Self>, FusionError>;
 }
@@ -261,41 +256,15 @@ impl RunnerElement for f32 {
         group: usize,
         strip: &Tensor<f32>,
         geom: ConvGeometry,
-        transform: &WinogradTransform,
-        threads: usize,
-        prof: &PoolProfiler,
+        ctx: &ExecCtx<'_>,
         force_direct: bool,
     ) -> Result<Tensor<f32>, FusionError> {
-        Ok(match (&stage.sparse_banks, &stage.banks, force_direct) {
-            (Some(banks), _, false) => winograd::conv2d_batched_sparse_ext(
-                strip,
-                &banks[group],
-                geom,
-                transform,
-                threads,
-                None,
-                prof,
-                BatchedOptions::default(),
-            )?,
-            (_, Some(banks), false) => winograd::conv2d_batched_traced(
-                strip,
-                &banks[group],
-                geom,
-                transform,
-                threads,
-                None,
-                prof,
-            )?,
-            _ => direct::conv2d_fast_packed_ext(
-                strip,
-                &stage.kernels_packed[group],
-                geom,
-                threads,
-                None,
-                prof,
-                None,
-            )?,
-        })
+        let rung = if force_direct && !stage.fallback.is_empty() {
+            &stage.fallback
+        } else {
+            &stage.kernels
+        };
+        Ok(rung[group].run(strip, geom, ctx)?)
     }
 }
 
@@ -305,9 +274,7 @@ impl RunnerElement for Fix16 {
         group: usize,
         strip: &Tensor<Fix16>,
         geom: ConvGeometry,
-        _transform: &WinogradTransform,
-        threads: usize,
-        _prof: &PoolProfiler,
+        ctx: &ExecCtx<'_>,
         _force_direct: bool,
     ) -> Result<Tensor<Fix16>, FusionError> {
         // Fixed point always runs the exact wide-integer datapath
@@ -317,7 +284,7 @@ impl RunnerElement for Fix16 {
             strip,
             &stage.kernels_fix[group],
             geom,
-            threads,
+            ctx,
         )?)
     }
 }
@@ -332,7 +299,6 @@ pub struct FusedGroupRunner {
     stages: Vec<RunnerStage>,
     input_shape: FmShape,
     output_shape: FmShape,
-    transform: WinogradTransform,
     threads: usize,
     analytic_dram_bytes: u64,
     fault_mode: FaultMode,
@@ -401,10 +367,9 @@ impl FusedGroupRunner {
                         cfg.engine.algorithm,
                         &transform,
                     )?;
-                    let strip = if conv.banks.is_some() || conv.sparse_banks.is_some() {
-                        transform.m() * WINO_STRIP_TILE_ROWS
-                    } else {
-                        DIRECT_STRIP_ROWS
+                    let strip = match conv.kernels[0] {
+                        ConvKernel::Direct(_) => DIRECT_STRIP_ROWS,
+                        _ => transform.m() * WINO_STRIP_TILE_ROWS,
                     };
                     (c.pad, StageOp::Conv(conv), strip)
                 }
@@ -449,7 +414,6 @@ impl FusedGroupRunner {
             stages,
             input_shape: first.input,
             output_shape: last.output,
-            transform,
             threads: 0,
             analytic_dram_bytes,
             fault_mode: if cfg!(debug_assertions) {
@@ -587,76 +551,61 @@ impl FusedGroupRunner {
         &self,
         input: &Tensor<T>,
     ) -> Result<GroupRunResult<T>, FusionError> {
-        let primary = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(kind) = self.faults.trip(&format!("fused.group{}", self.start)) {
-                if matches!(kind, FaultKind::Saturate) {
-                    return Err(FusionError::GroupFault {
-                        start: self.start,
-                        reason: "injected winograd-domain fix16 saturation".to_string(),
-                    });
-                }
+        let primary = || {
+            if let Some(FaultKind::Saturate) =
+                self.faults.trip(&format!("fused.group{}", self.start))
+            {
+                return Err(FusionError::GroupFault {
+                    start: self.start,
+                    reason: "injected winograd-domain fix16 saturation".to_string(),
+                });
             }
             self.run_generic(input, false, true)
-        }));
-        let (reason, class) = match primary {
-            Ok(Ok(r)) => {
-                if r.dram.delta() == 0 {
-                    return Ok(r);
-                }
-                match self.fault_mode {
-                    FaultMode::Strict => {
-                        return Err(FusionError::DramMismatch {
-                            start: self.start,
-                            measured: r.dram.measured(),
-                            analytic: r.dram.analytic_dram_bytes,
-                        })
-                    }
-                    FaultMode::Lenient => (
-                        format!(
-                            "dram reconciliation failed: measured {} B vs analytic {} B",
-                            r.dram.measured(),
-                            r.dram.analytic_dram_bytes
-                        ),
-                        "dram_mismatch",
+        };
+        let classify = |result: Result<GroupRunResult<T>, FusionError>| match result {
+            Ok(r) if r.dram.delta() == 0 => Ok(r),
+            Ok(r) => match self.fault_mode {
+                FaultMode::Strict => Err(Failure::Fatal(FusionError::DramMismatch {
+                    start: self.start,
+                    measured: r.dram.measured(),
+                    analytic: r.dram.analytic_dram_bytes,
+                })),
+                FaultMode::Lenient => Err(Failure::Fault {
+                    reason: format!(
+                        "dram reconciliation failed: measured {} B vs analytic {} B",
+                        r.dram.measured(),
+                        r.dram.analytic_dram_bytes
                     ),
-                }
-            }
-            Ok(Err(e)) => match fault_class(&e) {
-                Some(class) => (e.to_string(), class),
+                    class: "dram_mismatch",
+                }),
+            },
+            Err(e) => match fault_class(&e) {
+                Some(class) => Err(Failure::Fault {
+                    reason: e.to_string(),
+                    class,
+                }),
                 // Shape, config and simulation errors are not kernel
                 // faults — switching algorithms cannot fix them.
-                None => return Err(e),
+                None => Err(Failure::Fatal(e)),
             },
-            Err(payload) => (describe_panic(payload.as_ref()), "panic"),
         };
-        if self.fault_mode == FaultMode::Lenient {
-            let retry = catch_unwind(AssertUnwindSafe(|| self.run_generic(input, true, false)));
-            return match retry {
-                Ok(Ok(mut r)) => {
-                    self.telemetry.counter("exec.fallbacks").incr();
-                    self.telemetry
-                        .counter(&format!("exec.fallbacks.{class}"))
-                        .incr();
-                    r.fallback = Some(GroupFallback {
-                        start: self.start,
-                        reason,
-                    });
-                    Ok(r)
-                }
-                Ok(Err(e)) => Err(e),
-                Err(payload) => Err(FusionError::GroupFault {
-                    start: self.start,
-                    reason: format!(
-                        "unfused fallback panicked after `{reason}`: {}",
-                        describe_panic(payload.as_ref())
-                    ),
-                }),
-            };
-        }
-        Err(FusionError::GroupFault {
+        let fallback = ("unfused", || self.run_generic(input, true, false));
+        let (mut r, fell_back) = run_ladder(
+            self.fault_mode,
+            &self.telemetry,
+            primary,
+            classify,
+            Some(fallback),
+            |reason| FusionError::GroupFault {
+                start: self.start,
+                reason,
+            },
+        )?;
+        r.fallback = fell_back.map(|reason| GroupFallback {
             start: self.start,
             reason,
-        })
+        });
+        Ok(r)
     }
 
     /// One streaming pass. `force_direct` pins every conv stage to the
@@ -857,7 +806,11 @@ impl FusedGroupRunner {
                 } else {
                     PoolProfiler::disabled()
                 };
-                self.conv_strip(st, conv, &row_at, o0, o1, &prof, force_direct)
+                let ctx = ExecCtx {
+                    prof,
+                    ..ExecCtx::new(self.threads)
+                };
+                self.conv_strip(st, conv, &row_at, o0, o1, &ctx, force_direct)
             }
             StageOp::Pool(p) => {
                 let mut rows = Vec::with_capacity(o1 - o0);
@@ -902,7 +855,7 @@ impl FusedGroupRunner {
         row_at: &impl Fn(usize) -> Result<&'w Vec<T>, FusionError>,
         o0: usize,
         o1: usize,
-        prof: &PoolProfiler,
+        ctx: &ExecCtx<'_>,
         force_direct: bool,
     ) -> Result<Vec<Vec<T>>, FusionError> {
         let c = &conv.params;
@@ -932,31 +885,13 @@ impl FusedGroupRunner {
         let groups = c.groups.max(1);
         let mut strip_out = Tensor::zeros(1, out_c, o1 - o0, out_w);
         if groups <= 1 {
-            strip_out = T::conv_group_strip(
-                conv,
-                0,
-                &strip,
-                geom,
-                &self.transform,
-                self.threads,
-                prof,
-                force_direct,
-            )?;
+            strip_out = T::conv_group_strip(conv, 0, &strip, geom, ctx, force_direct)?;
         } else {
             let cg = c.channels_per_group(in_c);
             let ng = c.num_output / groups;
             for g in 0..groups {
                 let x = strip.slice_channels(g * cg, (g + 1) * cg);
-                let y = T::conv_group_strip(
-                    conv,
-                    g,
-                    &x,
-                    geom,
-                    &self.transform,
-                    self.threads,
-                    prof,
-                    force_direct,
-                )?;
+                let y = T::conv_group_strip(conv, g, &x, geom, ctx, force_direct)?;
                 strip_out.write_channels(g * ng, &y);
             }
         }
@@ -1035,24 +970,23 @@ impl ConvStage {
         // choice changes the *computed values*, not just the metered
         // stream: the accelerator multiplies by pruned coefficients, so
         // the fused datapath must too.
-        let sparse_banks = match algorithm {
-            Algorithm::SparseWinograd { density_pm, .. } if cpu_hosted => Some(
-                slices
-                    .iter()
-                    .map(|k| SparseFilters::new(k, transform, density_pm))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            _ => None,
-        };
-        let banks = if cpu_hosted && sparse_banks.is_none() {
-            Some(
-                slices
-                    .iter()
-                    .map(|k| BatchedFilters::new(k, transform))
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
+        let direct = |k| ConvKernel::Direct(PackedKernels::new(k));
+        let kernels = slices
+            .iter()
+            .map(|k| {
+                Ok(match algorithm {
+                    Algorithm::SparseWinograd { density_pm, .. } if cpu_hosted => {
+                        ConvKernel::Sparse(SparseFilters::new(k, transform, density_pm)?)
+                    }
+                    _ if cpu_hosted => ConvKernel::Winograd(BatchedFilters::new(k, transform)?),
+                    _ => direct(k),
+                })
+            })
+            .collect::<Result<Vec<_>, FusionError>>()?;
+        let fallback = if cpu_hosted {
+            slices.iter().map(direct).collect()
         } else {
-            None
+            Vec::new()
         };
         let weight_stream_bytes = match algorithm {
             Algorithm::Conventional => {
@@ -1074,20 +1008,15 @@ impl ConvStage {
                 let alpha = (m + c.kernel - 1) as u64;
                 groups as u64
                     * winofuse_fpga::engine::sparse_stream_bytes(
-                        ng as u64,
-                        cg as u64,
-                        alpha,
-                        density_pm,
+                        ng as u64, cg as u64, alpha, density_pm,
                     )
             }
         };
-        let kernels_packed = slices.iter().map(direct::PackedKernels::new).collect();
         Ok(ConvStage {
             params: *c,
-            kernels_packed,
+            kernels,
+            fallback,
             kernels_fix,
-            banks,
-            sparse_banks,
             weight_stream_bytes,
         })
     }

@@ -59,7 +59,7 @@ impl Network {
             input,
             layers,
         };
-        net.output_shape()?; // validate the whole chain
+        net.shapes()?; // validate the whole chain
         Ok(net)
     }
 
@@ -144,12 +144,31 @@ impl Network {
     /// # Errors
     ///
     /// Propagates shape-inference failures.
+    /// Every feature map's element count, and every FC layer's weight
+    /// count, must fit in `usize`: the executors allocate them.
     pub fn shapes(&self) -> Result<Vec<FmShape>, ModelError> {
+        let too_big = |layer: &str, what: String| ModelError::ShapeInference {
+            layer: layer.to_string(),
+            reason: format!("{what} has more elements than fit in memory"),
+        };
+        let elements = |layer: &str, s: FmShape| {
+            s.channels
+                .checked_mul(s.height)
+                .and_then(|v| v.checked_mul(s.width))
+                .ok_or_else(|| too_big(layer, format!("feature map {s}")))
+        };
         let mut out = Vec::with_capacity(self.layers.len() + 1);
         let mut shape = self.input;
+        elements("input", shape)?;
         out.push(shape);
         for layer in &self.layers {
+            if let LayerKind::Fc(fc) = &layer.kind {
+                fc.num_output
+                    .checked_mul(elements(&layer.name, shape)?)
+                    .ok_or_else(|| too_big(&layer.name, "weight matrix".to_string()))?;
+            }
             shape = layer.output_shape(shape)?;
+            elements(&layer.name, shape)?;
             out.push(shape);
         }
         Ok(out)

@@ -484,6 +484,12 @@ pub fn parse(src: &str) -> Result<Network, ModelError> {
             })
             .collect();
         match dims.len() {
+            4 if dims[0] == 0 => {
+                return Err(ModelError::ParseProtoTxt {
+                    line: 1,
+                    reason: "degenerate input batch 0".into(),
+                })
+            }
             4 => FmShape::new(dims[1], dims[2], dims[3]),
             3 => FmShape::new(dims[0], dims[1], dims[2]),
             _ => {

@@ -6,17 +6,18 @@
 //! chooses between — so a heterogeneous strategy can be checked for
 //! functional equivalence end to end.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use winofuse_conv::cook_toom::{f43, WinogradTransform};
+use winofuse_conv::cook_toom::f43;
+use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
+use winofuse_conv::kernel::{ConvKernel, ExecCtx};
 use winofuse_conv::microkernel::KernelChoice;
 use winofuse_conv::ops::{self, LrnParams, PackedFc};
-use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_conv::sparse::SparseFilters;
-use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
+use winofuse_conv::tensor::{random_tensor, Tensor};
+use winofuse_conv::winograd::BatchedFilters;
 use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
-use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
+use winofuse_runtime::faults::{run_ladder, Failure, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
@@ -390,6 +391,7 @@ pub fn forward_fix16(
         )));
     }
     let shapes = net.shapes()?;
+    let ctx = ExecCtx::new(threads);
     let mut outputs = Vec::with_capacity(net.len());
     let mut cur = input.clone();
     for (i, layer) in net.layers().iter().enumerate() {
@@ -399,7 +401,7 @@ pub fn forward_fix16(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
                 let mut y = if c.groups <= 1 {
                     let k: Tensor<Fix16> = kernels.cast();
-                    direct::conv2d_fix16_fast(&cur, &k, geom, threads)?
+                    direct::conv2d_fix16_fast(&cur, &k, geom, &ctx)?
                 } else {
                     let cg = c.channels_per_group(shapes[i].channels);
                     let ng = c.num_output / c.groups;
@@ -410,10 +412,7 @@ pub fn forward_fix16(
                         let x = cur.slice_channels(g * cg, (g + 1) * cg);
                         let k: Tensor<Fix16> =
                             kernels.slice_channels_n(g * ng, (g + 1) * ng).cast();
-                        out.write_channels(
-                            g * ng,
-                            &direct::conv2d_fix16_fast(&x, &k, geom, threads)?,
-                        );
+                        out.write_channels(g * ng, &direct::conv2d_fix16_fast(&x, &k, geom, &ctx)?);
                     }
                     out
                 };
@@ -507,19 +506,14 @@ impl LayerProfile {
     }
 }
 
-/// One convolution layer, prepared for the fast path: per-group filter
-/// banks transformed/sliced once at construction so repeated runs pay
-/// only the online cost. The raw per-group kernel slices are kept even
-/// for Winograd layers — they are the fallback operand when a Winograd
-/// kernel faults and the layer re-runs on the direct path.
+/// One convolution layer, prepared for the fast path: per-group kernels
+/// built once at construction, so repeated runs pay only the online cost.
 struct PreparedConv {
-    /// Per-group kernel slices (the direct path's operand).
-    kernels: Vec<Tensor<f32>>,
-    /// Pre-transformed per-group Winograd banks; `None` = direct layer.
-    banks: Option<Vec<BatchedFilters>>,
-    /// Pruned per-group CSR banks under [`ExecAlgo::Sparse`]; at most
-    /// one of `banks`/`sparse_banks` is populated.
-    sparse_banks: Option<Vec<SparseFilters>>,
+    /// Per-group kernels of the backend's choice.
+    kernels: Vec<ConvKernel>,
+    /// Per-group prepacked direct kernels a faulted Winograd or sparse
+    /// kernel falls back to; empty when `kernels` are direct already.
+    fallback: Vec<ConvKernel>,
 }
 
 enum PreparedLayer {
@@ -539,7 +533,6 @@ enum PreparedLayer {
 /// instead of re-transforming filters
 /// (see [`NetworkExecutor::from_prepared`]).
 pub struct PreparedNetwork {
-    transform: WinogradTransform,
     layers: Vec<PreparedLayer>,
     /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`) —
     /// grouped-conv slicing derives from these, never raw tensor dims.
@@ -590,35 +583,29 @@ impl PreparedNetwork {
                     // on the direct path — a density preference, not a
                     // mandate (ineligible shapes have no transform
                     // domain to prune in).
-                    let use_sparse = match algo {
-                        ExecAlgo::Sparse { .. } => wino_capable,
-                        _ => false,
-                    };
                     let groups = group_slices(kernels, c);
-                    let banks = if use_wino {
-                        Some(
-                            groups
-                                .iter()
-                                .map(|k| BatchedFilters::new(k, &transform))
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    } else {
-                        None
+                    let direct = |k| ConvKernel::Direct(PackedKernels::new(k));
+                    let kernels = groups
+                        .iter()
+                        .map(|k| {
+                            Ok(match algo {
+                                ExecAlgo::Sparse { density_pm } if wino_capable => {
+                                    ConvKernel::Sparse(SparseFilters::new(
+                                        k, &transform, density_pm,
+                                    )?)
+                                }
+                                _ if use_wino => {
+                                    ConvKernel::Winograd(BatchedFilters::new(k, &transform)?)
+                                }
+                                _ => direct(k),
+                            })
+                        })
+                        .collect::<Result<Vec<_>, ModelError>>()?;
+                    let fallback = match kernels.first() {
+                        Some(ConvKernel::Direct(_)) | None => Vec::new(),
+                        Some(_) => groups.iter().map(direct).collect(),
                     };
-                    let sparse_banks = match (algo, use_sparse) {
-                        (ExecAlgo::Sparse { density_pm }, true) => Some(
-                            groups
-                                .iter()
-                                .map(|k| SparseFilters::new(k, &transform, density_pm))
-                                .collect::<Result<Vec<_>, _>>()?,
-                        ),
-                        _ => None,
-                    };
-                    PreparedLayer::Conv(PreparedConv {
-                        kernels: groups,
-                        banks,
-                        sparse_banks,
-                    })
+                    PreparedLayer::Conv(PreparedConv { kernels, fallback })
                 }
                 LayerKind::Fc(fc) => {
                     let (w, bias) = fc_weights(weights, i, layer, fc, shapes[i])?;
@@ -629,7 +616,6 @@ impl PreparedNetwork {
             layers.push(p);
         }
         Ok(PreparedNetwork {
-            transform,
             layers,
             shapes,
             algo,
@@ -656,7 +642,11 @@ impl PreparedNetwork {
         self.layers
             .iter()
             .map(|l| match l {
-                PreparedLayer::Conv(c) => c.banks.as_ref().map_or(0, Vec::len),
+                PreparedLayer::Conv(c) => c
+                    .kernels
+                    .iter()
+                    .filter(|k| matches!(k, ConvKernel::Winograd(_)))
+                    .count(),
                 _ => 0,
             })
             .sum()
@@ -813,7 +803,7 @@ impl<'n> NetworkExecutor<'n> {
         let mut cur = input.clone();
         for (i, layer) in self.net.layers().iter().enumerate() {
             let span = self.telemetry.span("exec", &layer.name);
-            let next = self.exec_layer(i, layer, &cur, &stats, &base.scoped(&layer.name))?;
+            let next = self.exec_layer(i, layer, &cur, &stats, base.scoped(&layer.name))?;
             drop(span);
             outputs.push(next.clone());
             cur = next;
@@ -850,13 +840,15 @@ impl<'n> NetworkExecutor<'n> {
             let span = self.telemetry.span("exec", &layer.name);
             let stats = ConvStats::new();
             let t0 = std::time::Instant::now();
-            let next = self.exec_layer(i, layer, &cur, &stats, &base.scoped(&layer.name))?;
+            let next = self.exec_layer(i, layer, &cur, &stats, base.scoped(&layer.name))?;
             let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             drop(span);
             let algo = match &self.prepared.layers[i] {
-                PreparedLayer::Conv(conv) if conv.sparse_banks.is_some() => "sparse",
-                PreparedLayer::Conv(conv) if conv.banks.is_some() => "winograd",
-                PreparedLayer::Conv(_) => "direct",
+                PreparedLayer::Conv(conv) => match conv.kernels[0] {
+                    ConvKernel::Direct(_) => "direct",
+                    ConvKernel::Winograd(_) => "winograd",
+                    ConvKernel::Sparse(_) => "sparse",
+                },
                 _ => "-",
             };
             let (gemm_calls, tiles, bytes_packed) = stats.snapshot();
@@ -906,67 +898,94 @@ impl<'n> NetworkExecutor<'n> {
             .add(bytes_packed);
     }
 
+    /// Runs layer `i` on the degradation ladder: a detected kernel fault
+    /// (caught panic, pool-reported fault, or injected Winograd-domain
+    /// saturation) on a Winograd or sparse layer re-runs the layer on its
+    /// prepacked direct kernels in lenient mode, counting
+    /// `exec.fallbacks` / `exec.fallbacks.<reason>`. In strict mode, on a
+    /// direct layer, or when the direct rung itself faults it surfaces as
+    /// [`ModelError::KernelFault`]. Non-conv layers have no alternate
+    /// rung: a caught panic or injected fault is a `KernelFault` in either
+    /// mode, and their other errors propagate untouched. FC work lands in
+    /// `stats` as the GEMM phase.
     fn exec_layer(
         &self,
         i: usize,
         layer: &Layer,
         cur: &Tensor<f32>,
         stats: &ConvStats,
-        prof: &PoolProfiler,
+        prof: PoolProfiler,
     ) -> Result<Tensor<f32>, ModelError> {
-        match &layer.kind {
-            LayerKind::Conv(c) => {
-                let PreparedLayer::Conv(conv) = &self.prepared.layers[i] else {
-                    unreachable!("invariant: conv layer prepared as non-conv");
-                };
-                self.run_conv_guarded(
-                    layer,
-                    cur,
-                    c,
-                    conv,
-                    stats,
-                    self.prepared.shapes[i].channels,
-                    prof,
-                )
-            }
-            _ => {
-                // Non-conv layers have no alternate algorithm rung: a
-                // caught panic (or injected fault) becomes a typed
-                // `KernelFault` in either fault mode.
-                let guarded = catch_unwind(AssertUnwindSafe(|| {
-                    if self.faults.trip(&format!("exec.{}", layer.name)).is_some() {
-                        return Err(ModelError::KernelFault {
-                            layer: layer.name.clone(),
-                            reason: "injected fault".to_string(),
-                        });
-                    }
-                    self.exec_simple(i, layer, cur, stats, prof)
-                }));
-                match guarded {
-                    Ok(result) => result,
-                    Err(payload) => Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: describe_panic(payload.as_ref()),
-                    }),
+        let ctx = ExecCtx {
+            stats: Some(stats),
+            prof,
+            ..ExecCtx::new(self.threads)
+        };
+        let conv = match (&layer.kind, &self.prepared.layers[i]) {
+            (LayerKind::Conv(c), PreparedLayer::Conv(conv)) => Some((c, conv)),
+            _ => None,
+        };
+        let in_channels = self.prepared.shapes[i].channels;
+        let fault = |reason: String| ModelError::KernelFault {
+            layer: layer.name.clone(),
+            reason,
+        };
+        let primary = || {
+            match (conv, self.faults.trip(&format!("exec.{}", layer.name))) {
+                (Some(_), Some(FaultKind::Saturate)) => {
+                    return Err(fault("injected winograd-domain fix16 saturation".into()))
                 }
+                (None, Some(_)) => return Err(fault("injected fault".into())),
+                _ => {}
             }
-        }
+            match conv {
+                Some((c, conv)) => run_conv(cur, c, &conv.kernels, in_channels, &ctx),
+                None => self.exec_simple(i, layer, cur, &ctx),
+            }
+        };
+        let classify = |result| match result {
+            // Only a conv layer's faults are absorbable; shape mismatches
+            // etc. are not recoverable by switching algorithms.
+            Err(ModelError::KernelFault { reason, .. }) if conv.is_some() => {
+                let class = if reason.contains("saturation") {
+                    "saturation"
+                } else {
+                    "kernel_fault"
+                };
+                Err(Failure::Fault { reason, class })
+            }
+            Err(e) => Err(Failure::Fatal(e)),
+            Ok(y) => Ok(y),
+        };
+        let fallback = conv
+            .filter(|(_, conv)| !conv.fallback.is_empty())
+            .map(|(c, conv)| {
+                let rung = || run_conv(cur, c, &conv.fallback, in_channels, &ctx);
+                ("direct", rung)
+            });
+        run_ladder(
+            self.fault_mode,
+            &self.telemetry,
+            primary,
+            classify,
+            fallback,
+            fault,
+        )
+        .map(|(y, _)| y)
     }
 
-    /// The non-conv layer bodies (pool/LRN/ReLU/FC/softmax) — no fallback
-    /// path, called inside the guard of [`NetworkExecutor::exec_layer`].
-    /// FC work lands in `stats` as the GEMM phase.
+    /// The non-conv layer bodies (pool/LRN/ReLU/FC/softmax), run as the
+    /// primary rung of [`NetworkExecutor::exec_layer`].
     fn exec_simple(
         &self,
         i: usize,
         layer: &Layer,
         cur: &Tensor<f32>,
-        stats: &ConvStats,
-        prof: &PoolProfiler,
+        ctx: &ExecCtx<'_>,
     ) -> Result<Tensor<f32>, ModelError> {
         Ok(match &layer.kind {
             LayerKind::Conv(_) => {
-                unreachable!("invariant: conv layers route through run_conv_guarded")
+                unreachable!("invariant: conv layers run through run_conv")
             }
             LayerKind::Pool(p) => {
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
@@ -987,7 +1006,7 @@ impl<'n> NetworkExecutor<'n> {
                     unreachable!("invariant: fc layer prepared as non-fc");
                 };
                 let mut y =
-                    packed.run(cur, self.threads, Some(stats), prof, KernelChoice::auto())?;
+                    packed.run(cur, ctx.threads, ctx.stats, &ctx.prof, KernelChoice::auto())?;
                 if fc.relu {
                     y = ops::relu(&y);
                 }
@@ -996,145 +1015,35 @@ impl<'n> NetworkExecutor<'n> {
             LayerKind::Softmax => ops::softmax(cur)?,
         })
     }
+}
 
-    /// Runs a conv layer with the fault guard and the degradation ladder:
-    /// a detected kernel fault (caught panic, pool-reported fault, or
-    /// injected Winograd-domain saturation) on a Winograd layer re-runs
-    /// the layer on the direct path in lenient mode, counting
-    /// `exec.fallbacks` / `exec.fallbacks.<reason>`; in strict mode (or
-    /// when the direct rung itself faults) it surfaces as
-    /// [`ModelError::KernelFault`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_conv_guarded(
-        &self,
-        layer: &Layer,
-        cur: &Tensor<f32>,
-        c: &ConvParams,
-        conv: &PreparedConv,
-        stats: &ConvStats,
-        in_channels: usize,
-        prof: &PoolProfiler,
-    ) -> Result<Tensor<f32>, ModelError> {
-        let primary = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(kind) = self.faults.trip(&format!("exec.{}", layer.name)) {
-                if matches!(kind, FaultKind::Saturate) {
-                    return Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: "injected winograd-domain fix16 saturation".to_string(),
-                    });
-                }
-            }
-            let banked = conv.banks.is_some() || conv.sparse_banks.is_some();
-            self.run_conv(cur, c, conv, stats, in_channels, prof, banked)
-        }));
-        let (reason, class) = match primary {
-            Ok(Ok(y)) => return Ok(y),
-            Ok(Err(ModelError::KernelFault { reason, .. })) => {
-                let class = if reason.contains("saturation") {
-                    "saturation"
-                } else {
-                    "kernel_fault"
-                };
-                (reason, class)
-            }
-            // Non-fault errors (shape mismatches etc.) are not recoverable
-            // by switching algorithms — propagate untouched.
-            Ok(Err(other)) => return Err(other),
-            Err(payload) => (describe_panic(payload.as_ref()), "panic"),
-        };
-        if self.fault_mode == FaultMode::Lenient
-            && (conv.banks.is_some() || conv.sparse_banks.is_some())
-        {
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                self.run_conv(cur, c, conv, stats, in_channels, prof, false)
-            }));
-            match retry {
-                Ok(Ok(y)) => {
-                    self.telemetry.counter("exec.fallbacks").incr();
-                    self.telemetry
-                        .counter(&format!("exec.fallbacks.{class}"))
-                        .incr();
-                    return Ok(y);
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    return Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: format!(
-                            "direct fallback panicked after `{reason}`: {}",
-                            describe_panic(payload.as_ref())
-                        ),
-                    })
-                }
-            }
+/// Runs a conv layer on one rung's per-group kernels, slicing grouped
+/// layers' channels, then applies the folded ReLU.
+fn run_conv(
+    cur: &Tensor<f32>,
+    c: &ConvParams,
+    kernels: &[ConvKernel],
+    in_channels: usize,
+    ctx: &ExecCtx<'_>,
+) -> Result<Tensor<f32>, ModelError> {
+    let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
+    let mut y = if c.groups <= 1 {
+        kernels[0].run(cur, geom, ctx)?
+    } else {
+        let cg = c.channels_per_group(in_channels);
+        let ng = c.num_output / c.groups;
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        let mut out = Tensor::zeros(cur.n(), c.num_output, oh, ow);
+        for (g, kernel) in kernels.iter().enumerate() {
+            let x = cur.slice_channels(g * cg, (g + 1) * cg);
+            out.write_channels(g * ng, &kernel.run(&x, geom, ctx)?);
         }
-        Err(ModelError::KernelFault {
-            layer: layer.name.clone(),
-            reason,
-        })
+        out
+    };
+    if c.relu {
+        y = ops::relu(&y);
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_conv(
-        &self,
-        cur: &Tensor<f32>,
-        c: &ConvParams,
-        conv: &PreparedConv,
-        stats: &ConvStats,
-        in_channels: usize,
-        prof: &PoolProfiler,
-        use_banks: bool,
-    ) -> Result<Tensor<f32>, ModelError> {
-        let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
-        let run_group = |x: &Tensor<f32>, g: usize| -> Result<Tensor<f32>, ModelError> {
-            Ok(match (&conv.sparse_banks, &conv.banks, use_banks) {
-                (Some(banks), _, true) => winograd::conv2d_batched_sparse_ext(
-                    x,
-                    &banks[g],
-                    geom,
-                    &self.prepared.transform,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                    BatchedOptions::default(),
-                )?,
-                (_, Some(banks), true) => winograd::conv2d_batched_traced(
-                    x,
-                    &banks[g],
-                    geom,
-                    &self.prepared.transform,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                )?,
-                _ => direct::conv2d_fast_traced(
-                    x,
-                    &conv.kernels[g],
-                    geom,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                )?,
-            })
-        };
-        let mut y = if c.groups <= 1 {
-            run_group(cur, 0)?
-        } else {
-            let cg = c.channels_per_group(in_channels);
-            let ng = c.num_output / c.groups;
-            let (oh, ow) = (geom.output_height(), geom.output_width());
-            let mut out = Tensor::zeros(cur.n(), c.num_output, oh, ow);
-            for g in 0..c.groups {
-                let x = cur.slice_channels(g * cg, (g + 1) * cg);
-                out.write_channels(g * ng, &run_group(&x, g)?);
-            }
-            out
-        };
-        if c.relu {
-            y = ops::relu(&y);
-        }
-        Ok(y)
-    }
+    Ok(y)
 }
 
 /// Splits a conv layer's kernel tensor into its per-group slices (a

@@ -32,9 +32,11 @@
 
 use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
+use winofuse_telemetry::Telemetry;
 
 /// What an armed rule does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,6 +308,65 @@ impl std::str::FromStr for FaultMode {
     }
 }
 
+/// How a ladder caller classifies its primary rung's failure.
+#[derive(Debug)]
+pub enum Failure<E> {
+    /// A fault the fallback rung may absorb: `reason` is the one-line
+    /// description, `class` the `exec.fallbacks.<class>` counter suffix.
+    Fault { reason: String, class: &'static str },
+    /// Not a fault (a shape or configuration error, or a fault strict
+    /// mode reports in its own terms): propagates as is.
+    Fatal(E),
+}
+
+/// The degradation ladder shared by the executor and the fused runner.
+///
+/// Runs `primary` under `catch_unwind` and hands its result to
+/// `classify`; a caught panic is a [`Failure::Fault`] of class `panic`.
+/// A fault in [`FaultMode::Lenient`] with a `fallback` rung runs that
+/// rung once (also under `catch_unwind`) and, when it succeeds, counts
+/// `exec.fallbacks` and `exec.fallbacks.<class>` on `telemetry` and
+/// returns its value with the primary's fault reason. Otherwise the fault
+/// becomes `fault(reason)`. `fallback` is `(name, rung)`; when the rung
+/// panics, the fault reads ``{name} fallback panicked after `{reason}`: {panic}``.
+///
+/// # Errors
+///
+/// A [`Failure::Fatal`] error, an error the fallback rung returned, or
+/// `fault(reason)` for a fault no rung absorbed.
+pub fn run_ladder<T, E>(
+    mode: FaultMode,
+    telemetry: &Telemetry,
+    primary: impl FnOnce() -> Result<T, E>,
+    classify: impl FnOnce(Result<T, E>) -> Result<T, Failure<E>>,
+    fallback: Option<(&str, impl FnOnce() -> Result<T, E>)>,
+    fault: impl FnOnce(String) -> E,
+) -> Result<(T, Option<String>), E> {
+    let (reason, class) = match catch_unwind(AssertUnwindSafe(primary)) {
+        Ok(result) => match classify(result) {
+            Ok(value) => return Ok((value, None)),
+            Err(Failure::Fatal(e)) => return Err(e),
+            Err(Failure::Fault { reason, class }) => (reason, class),
+        },
+        Err(payload) => (describe_panic(payload.as_ref()), "panic"),
+    };
+    let Some((name, rung)) = fallback.filter(|_| mode == FaultMode::Lenient) else {
+        return Err(fault(reason));
+    };
+    match catch_unwind(AssertUnwindSafe(rung)) {
+        Ok(Ok(value)) => {
+            telemetry.counter("exec.fallbacks").incr();
+            telemetry.counter(&format!("exec.fallbacks.{class}")).incr();
+            Ok((value, Some(reason)))
+        }
+        Ok(Err(e)) => Err(e),
+        Err(payload) => Err(fault(format!(
+            "{name} fallback panicked after `{reason}`: {}",
+            describe_panic(payload.as_ref())
+        ))),
+    }
+}
+
 /// Panic payload used by injected `Panic` faults, and recognised by
 /// [`describe_panic`] / the quiet panic hook.
 #[derive(Debug, Clone)]
@@ -455,5 +516,91 @@ mod tests {
         assert_eq!(describe_panic(&"boom"), "boom");
         assert_eq!(describe_panic(&String::from("boom")), "boom");
         assert_eq!(describe_panic(&42u32), "opaque panic payload");
+    }
+
+    type Rung = fn() -> Result<u32, String>;
+
+    /// Classifies every error as a fault of class `kernel_fault`.
+    fn faults(r: Result<u32, String>) -> Result<u32, Failure<String>> {
+        r.map_err(|reason| Failure::Fault {
+            reason,
+            class: "kernel_fault",
+        })
+    }
+
+    #[test]
+    fn ladder_falls_back_once_in_lenient_mode_and_counts_the_class() {
+        install_quiet_panic_hook();
+        let t = Telemetry::enabled();
+        let primary = || -> Result<u32, String> { panic!("injected: primary down") };
+        let fallback: Rung = || Ok(7);
+        let got = run_ladder(
+            FaultMode::Lenient,
+            &t,
+            primary,
+            faults,
+            Some(("direct", fallback)),
+            |r| r,
+        );
+        assert_eq!(got, Ok((7, Some("injected: primary down".to_string()))));
+        let s = t.summary();
+        assert_eq!(s.counter("exec.fallbacks"), 1);
+        assert_eq!(s.counter("exec.fallbacks.panic"), 1);
+    }
+
+    #[test]
+    fn ladder_reports_faults_in_strict_mode_and_without_a_fallback() {
+        let t = Telemetry::enabled();
+        let primary: Rung = || Err("bad tile".to_string());
+        let fallback: Rung = || Ok(7);
+        let strict = run_ladder(
+            FaultMode::Strict,
+            &t,
+            primary,
+            faults,
+            Some(("direct", fallback)),
+            |r| format!("fault: {r}"),
+        );
+        assert_eq!(strict, Err("fault: bad tile".to_string()));
+        let bare = run_ladder(
+            FaultMode::Lenient,
+            &t,
+            primary,
+            faults,
+            None::<(&str, Rung)>,
+            |r| format!("fault: {r}"),
+        );
+        assert_eq!(bare, Err("fault: bad tile".to_string()));
+        assert_eq!(t.summary().counter("exec.fallbacks"), 0);
+    }
+
+    #[test]
+    fn ladder_propagates_fatal_errors_and_names_a_panicking_fallback() {
+        install_quiet_panic_hook();
+        let t = Telemetry::enabled();
+        let primary: Rung = || Err("shape".to_string());
+        let fallback = || -> Result<u32, String> { panic!("injected: fallback down") };
+        let fatal = run_ladder(
+            FaultMode::Lenient,
+            &t,
+            primary,
+            |r| r.map_err(Failure::Fatal),
+            Some(("direct", fallback)),
+            |r| r,
+        );
+        assert_eq!(fatal, Err("shape".to_string()));
+        let panicked = run_ladder(
+            FaultMode::Lenient,
+            &t,
+            primary,
+            faults,
+            Some(("unfused", fallback)),
+            |r| r,
+        );
+        assert_eq!(
+            panicked,
+            Err("unfused fallback panicked after `shape`: injected: fallback down".to_string())
+        );
+        assert_eq!(t.summary().counter("exec.fallbacks"), 0);
     }
 }

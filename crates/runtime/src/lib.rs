@@ -41,10 +41,9 @@ pub const WORKER_TID_BASE: u64 = 100;
 /// handle plus a label that names the job spans it emits (e.g.
 /// `"wino.scatter"` → slices `wino.scatter[0..n]` on the worker lanes).
 ///
-/// A disabled profiler (the default, [`PoolProfiler::disabled`]) routes
-/// every `*_traced` entry point straight to the uninstrumented loop — the
-/// cost of instrumentation when telemetry is off is exactly one branch per
-/// pool invocation.
+/// A disabled profiler (the default, [`PoolProfiler::disabled`]) skips
+/// every lane and metric — the cost of instrumentation when telemetry is
+/// off is exactly one branch per pool invocation.
 #[derive(Clone)]
 pub struct PoolProfiler {
     telemetry: Telemetry,
@@ -60,8 +59,7 @@ impl Default for PoolProfiler {
 }
 
 impl PoolProfiler {
-    /// The no-op profiler: traced pool entry points fall back to the
-    /// plain untraced path.
+    /// The no-op profiler: the pool entry points record nothing.
     pub fn disabled() -> Self {
         PoolProfiler {
             telemetry: Telemetry::disabled(),
@@ -367,177 +365,6 @@ where
     workers
 }
 
-/// [`run_jobs`] with worker-lane tracing: when `prof` is enabled, each
-/// worker emits one Chrome-trace complete slice per job on its own stable
-/// tid ([`WORKER_TID_BASE`]` + worker`), and the pool-level counters
-/// (`pool.jobs`, `pool.runs`, `pool.idle_ns`) and histograms
-/// (`pool.worker_busy_ns`, `pool.job_wait_us`) accumulate. When `prof` is
-/// disabled this is exactly [`run_jobs`] plus one branch.
-pub fn run_jobs_traced<F>(threads: usize, jobs: usize, prof: &PoolProfiler, f: F) -> usize
-where
-    F: Fn(usize) + Sync,
-{
-    if !prof.is_enabled() {
-        return run_jobs(threads, jobs, f);
-    }
-    let workers = threads.min(jobs).max(1);
-    let run = PoolRun::start(prof);
-    if workers <= 1 {
-        let mut lane = run.lane(0);
-        for i in 0..jobs {
-            lane.run_job(i, || f(i));
-        }
-        lane.finish();
-        return workers;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let run = &run;
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                let mut lane = run.lane(w);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    lane.run_job(i, || f(i));
-                }
-                lane.finish();
-            });
-        }
-    });
-    workers
-}
-
-/// Like [`run_jobs`], but each job receives exclusive ownership of its
-/// pre-split `&mut` slice — the safe way to let workers write disjoint
-/// regions of one output buffer in parallel. Job `i` gets `slices[i]`.
-///
-/// Returns the worker count actually used.
-pub fn run_sliced_jobs<T, F>(threads: usize, slices: Vec<&mut [T]>, f: F) -> usize
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    run_sliced_jobs_with(threads, slices, || (), |(), i, s| f(i, s))
-}
-
-/// [`run_sliced_jobs`] with per-worker scratch state: `init()` runs once on
-/// each worker thread and the resulting state is threaded through every job
-/// that worker executes. Use it to reuse allocation-heavy scratch (packed
-/// GEMM panels, transform tiles) across jobs without sharing it across
-/// workers.
-///
-/// Returns the worker count actually used.
-pub fn run_sliced_jobs_with<T, S, I, F>(
-    threads: usize,
-    slices: Vec<&mut [T]>,
-    init: I,
-    f: F,
-) -> usize
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
-{
-    let jobs = slices.len();
-    let workers = threads.min(jobs).max(1);
-    if workers <= 1 {
-        let mut state = init();
-        for (i, s) in slices.into_iter().enumerate() {
-            f(&mut state, i, s);
-        }
-        return workers;
-    }
-    // Each slice is claimed exactly once through its mutex; the job index
-    // comes from the same ascending atomic pull as `run_jobs`.
-    let cells: Vec<Mutex<Option<&mut [T]>>> =
-        slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let slice = cell
-                        .lock()
-                        .expect("job slice lock poisoned")
-                        .take()
-                        .expect("job slice claimed twice");
-                    f(&mut state, i, slice);
-                }
-            });
-        }
-    });
-    workers
-}
-
-/// [`run_sliced_jobs_with`] with worker-lane tracing — the sliced
-/// counterpart of [`run_jobs_traced`], with identical metrics and lanes.
-/// When `prof` is disabled this is exactly [`run_sliced_jobs_with`] plus
-/// one branch.
-pub fn run_sliced_jobs_with_traced<T, S, I, F>(
-    threads: usize,
-    slices: Vec<&mut [T]>,
-    prof: &PoolProfiler,
-    init: I,
-    f: F,
-) -> usize
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
-{
-    if !prof.is_enabled() {
-        return run_sliced_jobs_with(threads, slices, init, f);
-    }
-    let jobs = slices.len();
-    let workers = threads.min(jobs).max(1);
-    let run = PoolRun::start(prof);
-    if workers <= 1 {
-        let mut state = init();
-        let mut lane = run.lane(0);
-        for (i, s) in slices.into_iter().enumerate() {
-            lane.run_job(i, || f(&mut state, i, s));
-        }
-        lane.finish();
-        return workers;
-    }
-    let cells: Vec<Mutex<Option<&mut [T]>>> =
-        slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let run = &run;
-            let next = &next;
-            let cells = &cells;
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                let mut state = init();
-                let mut lane = run.lane(w);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let slice = cell
-                        .lock()
-                        .expect("job slice lock poisoned")
-                        .take()
-                        .expect("job slice claimed twice");
-                    lane.run_job(i, || f(&mut state, i, slice));
-                }
-                lane.finish();
-            });
-        }
-    });
-    workers
-}
-
 // ---------------------------------------------------------------------------
 // Panic-isolated pool entry points
 // ---------------------------------------------------------------------------
@@ -644,18 +471,23 @@ impl IsolatedRun {
     }
 }
 
-/// [`run_jobs_traced`] with per-job panic isolation: every job attempt runs
-/// inside `catch_unwind`, panicking jobs are retried per the profiler's
-/// [`GuardPolicy`] and finally *collected* instead of unwinding through the
-/// pool — one bad job never poisons its siblings, and the caller gets a
-/// typed [`PoolError`] naming every failed index. An optional watchdog
-/// deadline stops workers from claiming new jobs once elapsed.
+/// [`run_jobs`] with worker-lane tracing and per-job panic isolation.
 ///
-/// Telemetry parity: with an enabled profiler this emits exactly the lanes
-/// and counters of [`run_jobs_traced`], plus `pool.job_panics` /
-/// `pool.job_retries` / `pool.deadline_exceeded` on the respective rare
-/// paths. Fault injection (see [`faults`]) checks site `pool.<label>`
-/// before each attempt.
+/// Tracing: when `prof` is enabled, each worker emits one Chrome-trace
+/// complete slice per job on its own stable tid
+/// ([`WORKER_TID_BASE`]` + worker`), and the pool-level counters
+/// (`pool.jobs`, `pool.runs`, `pool.idle_ns`) and histograms
+/// (`pool.worker_busy_ns`, `pool.job_wait_us`) accumulate. When `prof` is
+/// disabled this costs one branch per invocation.
+///
+/// Isolation: every job attempt runs inside `catch_unwind`, panicking jobs
+/// are retried per the profiler's [`GuardPolicy`] and finally *collected*
+/// instead of unwinding through the pool — one bad job never poisons its
+/// siblings, and the caller gets a typed [`PoolError`] naming every failed
+/// index. An optional watchdog deadline stops workers from claiming new
+/// jobs once elapsed. The rare paths count `pool.job_panics` /
+/// `pool.job_retries` / `pool.deadline_exceeded`. Fault injection (see
+/// [`faults`]) checks site `pool.<label>` before each attempt.
 ///
 /// # Errors
 ///
@@ -710,9 +542,14 @@ where
     iso.finish(prof, workers, jobs)
 }
 
-/// [`run_sliced_jobs_with_traced`] with the panic isolation, retry, and
-/// watchdog semantics of [`run_jobs_isolated`]. A retried job gets its
-/// slice back (reborrowed), so retries rewrite the same disjoint region.
+/// [`run_jobs_isolated`] where each job receives exclusive ownership of
+/// its pre-split `&mut` slice — the safe way to let workers write
+/// disjoint regions of one output buffer in parallel (job `i` gets
+/// `slices[i]`) — and per-worker scratch state: `init()` runs once on
+/// each worker and the state is threaded through every job that worker
+/// executes. Tracing, panic isolation, retry and watchdog semantics match
+/// [`run_jobs_isolated`]; a retried job gets its slice back (reborrowed),
+/// so retries rewrite the same disjoint region.
 ///
 /// # Errors
 ///
@@ -882,7 +719,8 @@ pub fn split_spans<'a, T>(
 
 /// Splits `data` into consecutive slices of the given lengths. The lengths
 /// must sum to exactly `data.len()` — this is how a flat output buffer is
-/// carved into the disjoint per-job regions [`run_sliced_jobs`] hands out.
+/// carved into the disjoint per-job regions [`run_sliced_jobs_isolated`]
+/// hands out.
 ///
 /// # Panics
 ///
@@ -900,7 +738,7 @@ pub fn split_lengths<'a, T>(mut data: &'a mut [T], lengths: &[usize]) -> Vec<&'a
 
 /// Splits `data` into `⌈len/chunk⌉` consecutive slices of `chunk` elements
 /// (the last possibly shorter). Convenience wrapper over `chunks_mut` that
-/// collects into the `Vec` shape [`run_sliced_jobs`] expects.
+/// collects into the `Vec` shape [`run_sliced_jobs_isolated`] expects.
 ///
 /// # Panics
 ///
@@ -1032,11 +870,18 @@ mod tests {
         for threads in [1usize, 3, 8] {
             let mut data = vec![0u64; 100];
             let slices = split_chunks(&mut data, 7);
-            run_sliced_jobs(threads, slices, |i, s| {
-                for v in s.iter_mut() {
-                    *v = i as u64 + 1;
-                }
-            });
+            run_sliced_jobs_isolated(
+                threads,
+                slices,
+                &PoolProfiler::disabled(),
+                || (),
+                |(), i, s| {
+                    for v in s.iter_mut() {
+                        *v = i as u64 + 1;
+                    }
+                },
+            )
+            .unwrap();
             for (idx, v) in data.iter().enumerate() {
                 assert_eq!(*v, (idx / 7) as u64 + 1);
             }
@@ -1051,16 +896,18 @@ mod tests {
         let total = AtomicU64::new(0);
         let mut data = vec![0u64; 64];
         let slices = split_chunks(&mut data, 1);
-        run_sliced_jobs_with(
+        run_sliced_jobs_isolated(
             4,
             slices,
+            &PoolProfiler::disabled(),
             || 0u64,
             |state, _, s| {
                 *state += 1;
                 s[0] = *state;
                 total.fetch_add(1, Ordering::Relaxed);
             },
-        );
+        )
+        .unwrap();
         assert_eq!(total.load(Ordering::Relaxed), 64);
         // No worker can have run more jobs than exist.
         assert!(data.iter().all(|&v| (1..=64).contains(&v)));
@@ -1075,9 +922,10 @@ mod tests {
             let tele = Telemetry::with_sink(Box::new(sink));
             let prof = PoolProfiler::new(tele.clone(), "test.job");
             let jobs = 17;
-            let used = run_jobs_traced(threads, jobs, &prof, |_| {
+            let used = run_jobs_isolated(threads, jobs, &prof, |_| {
                 std::hint::black_box(0u64);
-            });
+            })
+            .unwrap();
 
             let s = tele.summary();
             assert_eq!(s.counter("pool.jobs"), jobs as u64);
@@ -1113,7 +961,7 @@ mod tests {
         let prof = PoolProfiler::new(tele.clone(), "sliced");
         let mut data = vec![0u64; 100];
         let slices = split_chunks(&mut data, 7);
-        run_sliced_jobs_with_traced(
+        run_sliced_jobs_isolated(
             3,
             slices,
             &prof,
@@ -1123,7 +971,8 @@ mod tests {
                     *v = i as u64 + 1;
                 }
             },
-        );
+        )
+        .unwrap();
         for (idx, v) in data.iter().enumerate() {
             assert_eq!(*v, (idx / 7) as u64 + 1);
         }
@@ -1136,9 +985,10 @@ mod tests {
         let prof = PoolProfiler::disabled();
         assert!(!prof.is_enabled());
         let hits = AtomicU64::new(0);
-        run_jobs_traced(4, 8, &prof, |_| {
+        run_jobs_isolated(4, 8, &prof, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 8);
         assert_eq!(prof.telemetry().summary().counters.len(), 0);
         // A scoped view of a disabled profiler stays disabled.

@@ -312,13 +312,21 @@ fn sliced_isolated_panic_spares_sibling_slices() {
 
 #[test]
 fn telemetry_parity_with_traced_pool() {
-    // The isolated path must emit the same per-run counters the traced
-    // path does, so switching kernels over cannot perturb profiling.
+    // The sliced entry point must emit the same per-run counters the plain
+    // one does, so moving a kernel between them cannot perturb profiling.
     let traced = Telemetry::enabled();
     let isolated = Telemetry::enabled();
-    winofuse_runtime::run_jobs_traced(3, 17, &PoolProfiler::new(traced.clone(), "par"), |_| {
-        std::hint::black_box(0u64);
-    });
+    let mut data = vec![0u64; 17];
+    run_sliced_jobs_isolated(
+        3,
+        winofuse_runtime::split_chunks(&mut data, 1),
+        &PoolProfiler::new(traced.clone(), "par"),
+        || (),
+        |(), _, s| {
+            s[0] = std::hint::black_box(1);
+        },
+    )
+    .unwrap();
     run_jobs_isolated(3, 17, &PoolProfiler::new(isolated.clone(), "par"), |_| {
         std::hint::black_box(0u64);
     })

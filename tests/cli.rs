@@ -164,6 +164,42 @@ fn bad_inputs_fail_cleanly() {
 }
 
 #[test]
+fn oversized_and_empty_inputs_are_model_errors() {
+    // A 4e9 x 4e9 input overflows the element count of its feature maps,
+    // and a zero batch has nothing to run: both are typed model errors
+    // (exit 3), caught by shape inference before anything is allocated.
+    let alexnet = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("assets/alexnet.prototxt"),
+    )
+    .unwrap();
+    for (tag, doc, needle) in [
+        (
+            "huge",
+            alexnet.replace("input_dim: 227", "input_dim: 4000000000"),
+            "more elements than fit in memory",
+        ),
+        (
+            "empty",
+            alexnet.replacen("input_dim: 1", "input_dim: 0", 1),
+            "degenerate input batch 0",
+        ),
+    ] {
+        let p = std::env::temp_dir().join(format!(
+            "winofuse_cli_{tag}_{}.prototxt",
+            std::process::id()
+        ));
+        std::fs::write(&p, doc).unwrap();
+        for cmd in ["run", "optimize"] {
+            let out = bin().arg(cmd).arg(&p).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{cmd} {tag}: {stderr}");
+            assert!(stderr.contains(needle), "{cmd} {tag}: {stderr}");
+        }
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn simulate_emits_trace_and_telemetry_json() {
     use winofuse::telemetry::json::parse;
     use winofuse::telemetry::JsonValue;

@@ -10,12 +10,14 @@
 
 use proptest::prelude::*;
 use winofuse::conv::cook_toom::{f43, WinogradTransform};
+use winofuse::conv::direct::PackedKernels;
 use winofuse::conv::fixed::Fix16;
+use winofuse::conv::kernel::{ConvKernel, ExecCtx};
 use winofuse::conv::microkernel::KernelChoice;
 use winofuse::conv::ops::{self, PackedFc};
 use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
-use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
+use winofuse::conv::winograd::{self, BatchedFilters, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
 use winofuse::model::runtime::{LayerWeights, NetworkExecutor, NetworkWeights};
 use winofuse::model::{ConvParams, FcParams, FmShape, LayerKind, Network, PoolParams};
@@ -34,11 +36,10 @@ fn tol(channels: usize, k: usize) -> f32 {
 /// Runs the batched Winograd path at every thread count and checks the
 /// results are bit-identical before returning the single-threaded one.
 fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) -> Tensor<f32> {
-    let t = f43();
-    let filters = BatchedFilters::new(kr, &t).unwrap();
-    let base = winograd::conv2d_batched(x, &filters, geom, &t, 1, None).unwrap();
+    let filters = ConvKernel::Winograd(BatchedFilters::new(kr, &f43()).unwrap());
+    let base = filters.run(x, geom, &ExecCtx::new(1)).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched(x, &filters, geom, &t, *threads, None).unwrap();
+        let y = filters.run(x, geom, &ExecCtx::new(*threads)).unwrap();
         assert_eq!(base, y, "batched Winograd differs at {threads} threads");
     }
     base
@@ -46,9 +47,10 @@ fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) ->
 
 /// Same contract for the blocked direct path.
 fn direct_fast_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) -> Tensor<f32> {
-    let base = direct::conv2d_fast(x, kr, geom, 1, None).unwrap();
+    let packed = ConvKernel::Direct(PackedKernels::new(kr));
+    let base = packed.run(x, geom, &ExecCtx::new(1)).unwrap();
     for threads in &THREADS[1..] {
-        let y = direct::conv2d_fast(x, kr, geom, *threads, None).unwrap();
+        let y = packed.run(x, geom, &ExecCtx::new(*threads)).unwrap();
         assert_eq!(base, y, "fast direct differs at {threads} threads");
     }
     base
@@ -132,7 +134,7 @@ proptest! {
         let kr: Tensor<Fix16> = random_tensor(out_c, in_c, k, k, seed + 5).cast();
         let naive = direct::conv2d_fix16(&x, &kr, geom).unwrap();
         for threads in THREADS {
-            let fast = direct::conv2d_fix16_fast(&x, &kr, geom, threads).unwrap();
+            let fast = direct::conv2d_fix16_fast(&x, &kr, geom, &ExecCtx::new(threads)).unwrap();
             prop_assert_eq!(&naive, &fast, "fix16 differs at {} threads", threads);
         }
     }
@@ -167,20 +169,20 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
         let x = random_tensor(batch, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 11);
-        let t = f43();
-        let filters = BatchedFilters::new(&kr, &t).unwrap();
-        let prof = PoolProfiler::disabled();
-        let oracle = winograd::conv2d_batched_ext(
-            &x, &filters, geom, &t, 1, None, &prof,
-            BatchedOptions { schedule: WinoSchedule::TransformPoint, kernel: Some(KernelChoice::Scalar) },
-        ).unwrap();
+        let filters = ConvKernel::Winograd(BatchedFilters::new(&kr, &f43()).unwrap());
+        let oracle = filters.run(&x, geom, &ExecCtx {
+            schedule: WinoSchedule::TransformPoint,
+            kernel: Some(KernelChoice::Scalar),
+            ..ExecCtx::new(1)
+        }).unwrap();
         for kernel in KernelChoice::all_supported() {
             for schedule in [WinoSchedule::TransformPoint, WinoSchedule::TileBlock] {
                 for threads in [1usize, 4] {
-                    let y = winograd::conv2d_batched_ext(
-                        &x, &filters, geom, &t, threads, None, &prof,
-                        BatchedOptions { schedule, kernel: Some(kernel) },
-                    ).unwrap();
+                    let y = filters.run(&x, geom, &ExecCtx {
+                        schedule,
+                        kernel: Some(kernel),
+                        ..ExecCtx::new(threads)
+                    }).unwrap();
                     prop_assert_eq!(
                         &y, &oracle,
                         "{} under {:?} @ {} threads diverges from scalar oracle",
@@ -208,15 +210,17 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, k, s, pad).unwrap();
         let x = random_tensor(2, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, k, k, seed + 13);
-        let prof = PoolProfiler::disabled();
-        let oracle = direct::conv2d_fast_ext(
-            &x, &kr, geom, 1, None, &prof, Some(KernelChoice::Scalar),
-        ).unwrap();
+        let packed = ConvKernel::Direct(PackedKernels::new(&kr));
+        let oracle = packed.run(&x, geom, &ExecCtx {
+            kernel: Some(KernelChoice::Scalar),
+            ..ExecCtx::new(1)
+        }).unwrap();
         for kernel in KernelChoice::all_supported() {
             for threads in [1usize, 4] {
-                let y = direct::conv2d_fast_ext(
-                    &x, &kr, geom, threads, None, &prof, Some(kernel),
-                ).unwrap();
+                let y = packed.run(&x, geom, &ExecCtx {
+                    kernel: Some(kernel),
+                    ..ExecCtx::new(threads)
+                }).unwrap();
                 prop_assert_eq!(
                     &y, &oracle,
                     "{} direct @ {} threads diverges from scalar oracle",
@@ -248,7 +252,8 @@ proptest! {
         let naive = direct::conv2d_fix16(&x, &kr, geom).unwrap();
         for kernel in KernelChoice::all_supported() {
             for threads in [1usize, 4] {
-                let y = direct::conv2d_fix16_fast_with_kernel(&x, &kr, geom, threads, kernel).unwrap();
+                let ctx = ExecCtx { kernel: Some(kernel), ..ExecCtx::new(threads) };
+                let y = direct::conv2d_fix16_fast(&x, &kr, geom, &ctx).unwrap();
                 prop_assert_eq!(
                     &y, &naive,
                     "{} fix16 @ {} threads diverges from naive reference",
@@ -390,23 +395,18 @@ proptest! {
         let x = random_tensor(batch, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 19);
         let oracle = naive_scalar_winograd(&x, &kr, geom, &t);
-        let dense = BatchedFilters::new(&kr, &t).unwrap();
-        let sparse = SparseFilters::new(&kr, &t, 1000).unwrap();
-        let prof = PoolProfiler::disabled();
+        let dense = ConvKernel::Winograd(BatchedFilters::new(&kr, &t).unwrap());
+        let sparse = ConvKernel::Sparse(SparseFilters::new(&kr, &t, 1000).unwrap());
         for kernel in KernelChoice::all_supported() {
             for schedule in [WinoSchedule::TransformPoint, WinoSchedule::TileBlock] {
-                let opts = BatchedOptions { schedule, kernel: Some(kernel) };
-                let y = winograd::conv2d_batched_ext(
-                    &x, &dense, geom, &t, 2, None, &prof, opts,
-                ).unwrap();
+                let ctx = ExecCtx { schedule, kernel: Some(kernel), ..ExecCtx::new(2) };
+                let y = dense.run(&x, geom, &ctx).unwrap();
                 prop_assert_eq!(
                     &y, &oracle,
                     "dense F({},3) {} under {:?} diverges from the scalar transforms",
                     m, kernel.name(), schedule
                 );
-                let ys = winograd::conv2d_batched_sparse_ext(
-                    &x, &sparse, geom, &t, 2, None, &prof, opts,
-                ).unwrap();
+                let ys = sparse.run(&x, geom, &ctx).unwrap();
                 prop_assert_eq!(
                     &ys, &oracle,
                     "sparse F({},3) {} under {:?} diverges from the scalar transforms",

@@ -212,35 +212,25 @@ fn winograd_schedules_agree_on_profile_and_output() {
     // counts (which follow the job grain by design) may differ.
     use winofuse::conv::cook_toom::f43;
     use winofuse::conv::gemm::ConvStats;
+    use winofuse::conv::kernel::{ConvKernel, ExecCtx};
     use winofuse::conv::tensor::random_tensor;
-    use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
+    use winofuse::conv::winograd::{BatchedFilters, WinoSchedule};
     use winofuse::conv::ConvGeometry;
-    use winofuse::runtime::PoolProfiler;
 
     let geom = ConvGeometry::rect(33, 27, 3, 1, 1).unwrap();
     let x = random_tensor(2, 6, 33, 27, 401);
     let k = random_tensor(10, 6, 3, 3, 402);
     let t = f43();
-    let filters = BatchedFilters::new(&k, &t).unwrap();
-    let prof = PoolProfiler::disabled();
+    let filters = ConvKernel::Winograd(BatchedFilters::new(&k, &t).unwrap());
 
     let run = |schedule: WinoSchedule, threads: usize| {
         let stats = ConvStats::new();
-        let opts = BatchedOptions {
+        let ctx = ExecCtx {
+            stats: Some(&stats),
             schedule,
-            kernel: None,
+            ..ExecCtx::new(threads)
         };
-        let out = winograd::conv2d_batched_ext(
-            &x,
-            &filters,
-            geom,
-            &t,
-            threads,
-            Some(&stats),
-            &prof,
-            opts,
-        )
-        .unwrap();
+        let out = filters.run(&x, geom, &ctx).unwrap();
         (out, stats.profile())
     };
 

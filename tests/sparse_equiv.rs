@@ -16,24 +16,21 @@
 
 use proptest::prelude::*;
 use winofuse::conv::cook_toom::f43;
+use winofuse::conv::kernel::{ConvKernel, ExecCtx};
 use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
-use winofuse::conv::winograd::{self, BatchedFilters, TransformedFilters};
+use winofuse::conv::winograd::{BatchedFilters, TransformedFilters};
 use winofuse::conv::ConvGeometry;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the sparse batched path at every thread count and checks the
 /// results are bit-identical before returning the single-threaded one.
-fn sparse_all_threads(
-    x: &Tensor<f32>,
-    filters: &SparseFilters,
-    geom: ConvGeometry,
-) -> Tensor<f32> {
-    let t = f43();
-    let base = winograd::conv2d_batched_sparse(x, filters, geom, &t, 1, None).unwrap();
+fn sparse_all_threads(x: &Tensor<f32>, filters: &SparseFilters, geom: ConvGeometry) -> Tensor<f32> {
+    let kernel = ConvKernel::Sparse(filters.clone());
+    let base = kernel.run(x, geom, &ExecCtx::new(1)).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched_sparse(x, filters, geom, &t, *threads, None).unwrap();
+        let y = kernel.run(x, geom, &ExecCtx::new(*threads)).unwrap();
         assert_eq!(base, y, "sparse Winograd differs at {threads} threads");
     }
     base
@@ -93,8 +90,8 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
         let x = random_tensor(batch, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
-        let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
-        let dense = winograd::conv2d_batched(&x, &dense_bank, geom, &t, 1, None).unwrap();
+        let dense_bank = ConvKernel::Winograd(BatchedFilters::new(&kr, &t).unwrap());
+        let dense = dense_bank.run(&x, geom, &ExecCtx::new(1)).unwrap();
         let sparse_bank = SparseFilters::new(&kr, &t, 1000).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
         prop_assert_eq!(dense, sparse, "density 1000 must be bit-identical to dense");
@@ -116,8 +113,8 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
         let x = random_tensor(1, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
-        let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
-        let dense = winograd::conv2d_batched(&x, &dense_bank, geom, &t, 1, None).unwrap();
+        let dense_bank = ConvKernel::Winograd(BatchedFilters::new(&kr, &t).unwrap());
+        let dense = dense_bank.run(&x, geom, &ExecCtx::new(1)).unwrap();
         let sparse_bank = SparseFilters::new(&kr, &t, density_pm).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
         let bound = pruning_error_bound(&kr, &sparse_bank) + fp_slack(in_c);
