@@ -113,3 +113,24 @@ fn main() {
     println!("fft never amortizes at CNN kernel sizes — matching the paper's choice");
     println!("to explore {{conventional, winograd}} only.");
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn complexity_crossover() {
+        // For 3x3 kernels on 224-wide maps, FFT needs *more* multiplies
+        // per plane pair than direct (that's why the paper's framework
+        // explores winograd instead); for large kernels it wins.
+        let small_k = ConvGeometry::new(56, 56, 3, 1, 1).unwrap();
+        let direct_small = small_k.macs_per_channel_pair();
+        assert!(fft_conv_multiplies(small_k) > direct_small);
+
+        // Large kernel on a large map (the power-of-two padding must not
+        // dominate): 11x11 on 100x100 pads to 128x128.
+        let big_k = ConvGeometry::new(100, 100, 11, 1, 5).unwrap();
+        let direct_big = big_k.macs_per_channel_pair();
+        assert!(fft_conv_multiplies(big_k) < direct_big);
+    }
+}

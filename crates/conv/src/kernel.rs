@@ -1,6 +1,7 @@
 //! The one f32 fast-path entry point: a convolution kernel prepared once
-//! at plan lowering ([`ConvKernel`]) and the per-call context it runs in
-//! ([`ExecCtx`]).
+//! at plan lowering ([`ConvKernel`]), a layer's per-group kernels with
+//! their fault-ladder fallback ([`PreparedConv`]), and the per-call
+//! context a kernel runs in ([`ExecCtx`]).
 //!
 //! The paper's per-layer decision — conventional or Winograd — is made
 //! once, when the layer's kernel is prepared; every later call goes
@@ -8,12 +9,13 @@
 //! WinoCNN's kernel-sharing engine serves every layer configuration
 //! through one interface.
 
+use crate::cook_toom::WinogradTransform;
 use crate::direct::PackedKernels;
 use crate::gemm::ConvStats;
 use crate::microkernel::KernelChoice;
 use crate::sparse::SparseFilters;
 use crate::tensor::Tensor;
-use crate::winograd::{self, BatchedFilters, WinoSchedule};
+use crate::winograd::{self, BatchedFilters, WinoBank, WinoSchedule};
 use crate::{ConvError, ConvGeometry};
 use winofuse_runtime::PoolProfiler;
 
@@ -105,9 +107,121 @@ impl ConvKernel {
     ) -> Result<Tensor<f32>, ConvError> {
         match self {
             ConvKernel::Direct(k) => k.run(x, geom, ctx),
-            ConvKernel::Winograd(_) | ConvKernel::Sparse(_) => {
-                winograd::run_batched(self, x, geom, ctx)
-            }
+            ConvKernel::Winograd(f) => winograd::run_batched(WinoBank::Dense(f), x, geom, ctx),
+            ConvKernel::Sparse(f) => winograd::run_batched(WinoBank::Sparse(f), x, geom, ctx),
+        }
+    }
+}
+
+/// The algorithm a layer's kernels are prepared for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelAlgo {
+    /// [`ConvKernel::Direct`].
+    Direct,
+    /// [`ConvKernel::Winograd`].
+    Winograd,
+    /// [`ConvKernel::Sparse`], keeping `density_pm` per-mille of each
+    /// transform-domain plane.
+    Sparse {
+        /// Kept coefficients per plane, per mille.
+        density_pm: u16,
+    },
+}
+
+/// A convolution layer prepared for both rungs of the fault ladder: one
+/// kernel per channel group of the chosen algorithm, and — when that
+/// choice is Winograd or sparse — the same groups' prepacked direct
+/// kernels, which a faulted call falls back to.
+#[derive(Debug, Clone)]
+pub struct PreparedConv {
+    kernels: Vec<ConvKernel>,
+    /// Empty when `kernels` are direct already.
+    fallback: Vec<ConvKernel>,
+}
+
+impl PreparedConv {
+    /// Prepares every group's kernels (`groups[g]` is group `g`'s
+    /// `N/g × C/g × r × r` slice) for `algo`, the Winograd and sparse
+    /// banks under `transform`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BatchedFilters::new`] and
+    /// [`SparseFilters::new`].
+    pub fn new(
+        groups: &[Tensor<f32>],
+        algo: KernelAlgo,
+        transform: &WinogradTransform,
+    ) -> Result<Self, ConvError> {
+        let direct = |k| ConvKernel::Direct(PackedKernels::new(k));
+        let kernels = groups
+            .iter()
+            .map(|k| {
+                Ok(match algo {
+                    KernelAlgo::Direct => direct(k),
+                    KernelAlgo::Winograd => {
+                        ConvKernel::Winograd(BatchedFilters::new(k, transform)?)
+                    }
+                    KernelAlgo::Sparse { density_pm } => {
+                        ConvKernel::Sparse(SparseFilters::new(k, transform, density_pm)?)
+                    }
+                })
+            })
+            .collect::<Result<Vec<_>, ConvError>>()?;
+        let fallback = match algo {
+            KernelAlgo::Direct => Vec::new(),
+            _ => groups.iter().map(direct).collect(),
+        };
+        Ok(PreparedConv { kernels, fallback })
+    }
+
+    /// The per-group kernels one rung runs: the prepared choice, or with
+    /// `force_direct` its direct fallback (the choice itself when it is
+    /// direct already).
+    pub fn rung(&self, force_direct: bool) -> &[ConvKernel] {
+        if force_direct && self.has_fallback() {
+            &self.fallback
+        } else {
+            &self.kernels
+        }
+    }
+
+    /// Whether a fault in [`Self::rung`]`(false)` has a different rung to
+    /// fall back to (false for direct layers).
+    pub fn has_fallback(&self) -> bool {
+        !self.fallback.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cook_toom::f43;
+    use crate::tensor::random_tensor;
+
+    #[test]
+    fn prepared_conv_falls_back_to_direct_only_from_winograd_banks() {
+        let geom = ConvGeometry::new(10, 10, 3, 1, 1).unwrap();
+        let x = random_tensor(1, 4, 10, 10, 3);
+        let groups = [random_tensor(6, 4, 3, 3, 4)];
+        let ctx = ExecCtx::new(2);
+        let direct = PreparedConv::new(&groups, KernelAlgo::Direct, &f43()).unwrap();
+        assert!(!direct.has_fallback());
+        assert!(matches!(direct.rung(true)[0], ConvKernel::Direct(_)));
+        let want = direct.rung(false)[0].run(&x, geom, &ctx).unwrap();
+        for algo in [
+            KernelAlgo::Winograd,
+            KernelAlgo::Sparse { density_pm: 1000 },
+        ] {
+            let conv = PreparedConv::new(&groups, algo, &f43()).unwrap();
+            assert!(conv.has_fallback());
+            assert!(!matches!(conv.rung(false)[0], ConvKernel::Direct(_)));
+            let y = conv.rung(true)[0].run(&x, geom, &ctx).unwrap();
+            assert_eq!(
+                y.as_slice(),
+                want.as_slice(),
+                "fallback rung is the direct kernel"
+            );
         }
     }
 }

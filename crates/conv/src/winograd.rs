@@ -8,10 +8,10 @@
 
 use crate::cook_toom::{f43, WinogradTransform};
 use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
-use crate::kernel::{ConvKernel, ExecCtx};
+use crate::kernel::ExecCtx;
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
-use crate::sparse::{sparse_gemm, SparseKernelChoice};
+use crate::sparse::{sparse_gemm, SparseFilters, SparseKernelChoice};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
@@ -558,7 +558,7 @@ impl LaneBufs {
 /// sparse bank is bit-identical to its dense counterpart.
 #[allow(clippy::too_many_arguments)] // a GEMM's operands plus observability
 fn gemm_plane(
-    bank: &ConvKernel,
+    bank: WinoBank<'_>,
     scratch: &mut GemmScratch,
     uv: usize,
     n: usize,
@@ -568,7 +568,7 @@ fn gemm_plane(
     stats: Option<&ConvStats>,
 ) {
     match bank {
-        ConvKernel::Winograd(f) => {
+        WinoBank::Dense(f) => {
             let outcome =
                 crate::gemm::gemm_f32_prepacked(scratch, f.packed_plane(uv), n, b, c, timed);
             if let Some(s) = stats {
@@ -576,7 +576,7 @@ fn gemm_plane(
                 s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
             }
         }
-        ConvKernel::Sparse(f) => {
+        WinoBank::Sparse(f) => {
             sparse_gemm(
                 SparseKernelChoice::Scalar,
                 f.plane(uv),
@@ -591,17 +591,22 @@ fn gemm_plane(
                 s.add_gemm(1, 0);
             }
         }
-        ConvKernel::Direct(_) => {
-            unreachable!("invariant: batched Winograd runs on a Winograd bank")
-        }
     }
+}
+
+/// The transform-domain bank a batched Winograd call multiplies against:
+/// the dense planes or their pruned CSR counterpart.
+#[derive(Clone, Copy)]
+pub(crate) enum WinoBank<'a> {
+    Dense(&'a BatchedFilters),
+    Sparse(&'a SparseFilters),
 }
 
 /// Shape-derived state shared by both schedules, resolved once after
 /// validation.
 struct WinoCtx<'a> {
     input: &'a Tensor<f32>,
-    bank: &'a ConvKernel,
+    bank: WinoBank<'a>,
     threads: usize,
     kernel: KernelChoice,
     timed: bool,
@@ -681,8 +686,8 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
     // 2·nnz·P for the pruned CSR planes; each operand read once and the
     // transform-domain product written once.
     let a_elems = match cx.bank {
-        ConvKernel::Sparse(f) => f.nnz_total(),
-        _ => (aa * cx.out_c * cx.in_c) as u64,
+        WinoBank::Sparse(f) => f.nnz_total(),
+        WinoBank::Dense(_) => (aa * cx.out_c * cx.in_c) as u64,
     };
     let gemm_flops = 2 * a_elems * cx.p_total as u64;
     let gemm_bytes = 4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
@@ -710,17 +715,14 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 /// accounting; jobs trace as `wino.scatter` / `wino.gemm` / `wino.gather`
 /// (transform-point schedule) or `wino.tileblock` slices on `ctx.prof`.
 pub(crate) fn run_batched(
-    bank: &ConvKernel,
+    bank: WinoBank<'_>,
     input: &Tensor<f32>,
     geom: ConvGeometry,
     ctx: &ExecCtx<'_>,
 ) -> Result<Tensor<f32>, ConvError> {
     let (tile, in_c, out_c) = match bank {
-        ConvKernel::Winograd(f) => (&f.tile, f.in_c, f.out_c),
-        ConvKernel::Sparse(f) => (&f.tile, f.in_c(), f.out_c()),
-        ConvKernel::Direct(_) => {
-            unreachable!("invariant: batched Winograd runs on a Winograd bank")
-        }
+        WinoBank::Dense(f) => (&f.tile, f.in_c, f.out_c),
+        WinoBank::Sparse(f) => (&f.tile, f.in_c(), f.out_c()),
     };
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
@@ -1200,6 +1202,7 @@ mod tests {
     use super::*;
     use crate::cook_toom::f23;
     use crate::direct;
+    use crate::kernel::ConvKernel;
     use crate::tensor::random_tensor;
 
     fn bank(k: &Tensor<f32>, t: &WinogradTransform) -> ConvKernel {

@@ -26,13 +26,11 @@
 use std::collections::VecDeque;
 
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
-use winofuse_conv::direct::{self, PackedKernels};
+use winofuse_conv::direct;
 use winofuse_conv::fixed::{saturation_count, Fix16};
-use winofuse_conv::kernel::{ConvKernel, ExecCtx};
+use winofuse_conv::kernel::{ConvKernel, ExecCtx, KernelAlgo, PreparedConv};
 use winofuse_conv::ops::PoolKind;
-use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::tensor::{Scalar, Tensor};
-use winofuse_conv::winograd::BatchedFilters;
 use winofuse_conv::ConvGeometry;
 use winofuse_fpga::engine::Algorithm;
 use winofuse_model::layer::{ConvParams, LayerKind, LrnSpec, PoolParams};
@@ -182,11 +180,9 @@ struct ConvStage {
     /// Winograd on a hosted shape (the fused datapath then computes with
     /// the *pruned* coefficients, as the accelerator's sparse array
     /// would), and prepacked direct kernels otherwise (e.g. AlexNet's
-    /// 5×5 conv2, numerically equivalent, metered per the plan).
-    kernels: Vec<ConvKernel>,
-    /// Per-group prepacked direct kernels for the unfused fallback rung;
-    /// empty when `kernels` are direct already.
-    fallback: Vec<ConvKernel>,
+    /// 5×5 conv2, numerically equivalent, metered per the plan) — plus
+    /// their prepacked direct kernels for the unfused fallback rung.
+    kernels: PreparedConv,
     /// Per-group quantized kernels (exact fixed-point path).
     kernels_fix: Vec<Tensor<Fix16>>,
     /// DRAM bytes the accelerator streams for this layer's weights per
@@ -259,12 +255,7 @@ impl RunnerElement for f32 {
         ctx: &ExecCtx<'_>,
         force_direct: bool,
     ) -> Result<Tensor<f32>, FusionError> {
-        let rung = if force_direct && !stage.fallback.is_empty() {
-            &stage.fallback
-        } else {
-            &stage.kernels
-        };
-        Ok(rung[group].run(strip, geom, ctx)?)
+        Ok(stage.kernels.rung(force_direct)[group].run(strip, geom, ctx)?)
     }
 }
 
@@ -367,7 +358,7 @@ impl FusedGroupRunner {
                         cfg.engine.algorithm,
                         &transform,
                     )?;
-                    let strip = match conv.kernels[0] {
+                    let strip = match conv.kernels.rung(false)[0] {
                         ConvKernel::Direct(_) => DIRECT_STRIP_ROWS,
                         _ => transform.m() * WINO_STRIP_TILE_ROWS,
                     };
@@ -970,24 +961,14 @@ impl ConvStage {
         // choice changes the *computed values*, not just the metered
         // stream: the accelerator multiplies by pruned coefficients, so
         // the fused datapath must too.
-        let direct = |k| ConvKernel::Direct(PackedKernels::new(k));
-        let kernels = slices
-            .iter()
-            .map(|k| {
-                Ok(match algorithm {
-                    Algorithm::SparseWinograd { density_pm, .. } if cpu_hosted => {
-                        ConvKernel::Sparse(SparseFilters::new(k, transform, density_pm)?)
-                    }
-                    _ if cpu_hosted => ConvKernel::Winograd(BatchedFilters::new(k, transform)?),
-                    _ => direct(k),
-                })
-            })
-            .collect::<Result<Vec<_>, FusionError>>()?;
-        let fallback = if cpu_hosted {
-            slices.iter().map(direct).collect()
-        } else {
-            Vec::new()
+        let choice = match algorithm {
+            Algorithm::SparseWinograd { density_pm, .. } if cpu_hosted => {
+                KernelAlgo::Sparse { density_pm }
+            }
+            _ if cpu_hosted => KernelAlgo::Winograd,
+            _ => KernelAlgo::Direct,
         };
+        let kernels = PreparedConv::new(&slices, choice, transform)?;
         let weight_stream_bytes = match algorithm {
             Algorithm::Conventional => {
                 slices
@@ -1015,7 +996,6 @@ impl ConvStage {
         Ok(ConvStage {
             params: *c,
             kernels,
-            fallback,
             kernels_fix,
             weight_stream_bytes,
         })

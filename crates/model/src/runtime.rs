@@ -7,15 +7,12 @@
 //! functional equivalence end to end.
 
 use winofuse_conv::cook_toom::f43;
-use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
-use winofuse_conv::kernel::{ConvKernel, ExecCtx};
+use winofuse_conv::kernel::{ConvKernel, ExecCtx, KernelAlgo, PreparedConv};
 use winofuse_conv::microkernel::KernelChoice;
 use winofuse_conv::ops::{self, LrnParams, PackedFc};
-use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::tensor::{random_tensor, Tensor};
-use winofuse_conv::winograd::BatchedFilters;
 use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
 use winofuse_runtime::faults::{run_ladder, Failure, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
@@ -506,16 +503,9 @@ impl LayerProfile {
     }
 }
 
-/// One convolution layer, prepared for the fast path: per-group kernels
-/// built once at construction, so repeated runs pay only the online cost.
-struct PreparedConv {
-    /// Per-group kernels of the backend's choice.
-    kernels: Vec<ConvKernel>,
-    /// Per-group prepacked direct kernels a faulted Winograd or sparse
-    /// kernel falls back to; empty when `kernels` are direct already.
-    fallback: Vec<ConvKernel>,
-}
-
+/// A conv layer holds a [`PreparedConv`]: per-group kernels of the
+/// backend's choice, built once at construction so repeated runs pay only
+/// the online cost, plus their direct fallback.
 enum PreparedLayer {
     Conv(PreparedConv),
     Fc(PackedFc),
@@ -583,29 +573,15 @@ impl PreparedNetwork {
                     // on the direct path — a density preference, not a
                     // mandate (ineligible shapes have no transform
                     // domain to prune in).
-                    let groups = group_slices(kernels, c);
-                    let direct = |k| ConvKernel::Direct(PackedKernels::new(k));
-                    let kernels = groups
-                        .iter()
-                        .map(|k| {
-                            Ok(match algo {
-                                ExecAlgo::Sparse { density_pm } if wino_capable => {
-                                    ConvKernel::Sparse(SparseFilters::new(
-                                        k, &transform, density_pm,
-                                    )?)
-                                }
-                                _ if use_wino => {
-                                    ConvKernel::Winograd(BatchedFilters::new(k, &transform)?)
-                                }
-                                _ => direct(k),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ModelError>>()?;
-                    let fallback = match kernels.first() {
-                        Some(ConvKernel::Direct(_)) | None => Vec::new(),
-                        Some(_) => groups.iter().map(direct).collect(),
+                    let choice = match algo {
+                        ExecAlgo::Sparse { density_pm } if wino_capable => {
+                            KernelAlgo::Sparse { density_pm }
+                        }
+                        _ if use_wino => KernelAlgo::Winograd,
+                        _ => KernelAlgo::Direct,
                     };
-                    PreparedLayer::Conv(PreparedConv { kernels, fallback })
+                    let groups = group_slices(kernels, c);
+                    PreparedLayer::Conv(PreparedConv::new(&groups, choice, &transform)?)
                 }
                 LayerKind::Fc(fc) => {
                     let (w, bias) = fc_weights(weights, i, layer, fc, shapes[i])?;
@@ -643,7 +619,7 @@ impl PreparedNetwork {
             .iter()
             .map(|l| match l {
                 PreparedLayer::Conv(c) => c
-                    .kernels
+                    .rung(false)
                     .iter()
                     .filter(|k| matches!(k, ConvKernel::Winograd(_)))
                     .count(),
@@ -844,7 +820,7 @@ impl<'n> NetworkExecutor<'n> {
             let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             drop(span);
             let algo = match &self.prepared.layers[i] {
-                PreparedLayer::Conv(conv) => match conv.kernels[0] {
+                PreparedLayer::Conv(conv) => match conv.rung(false)[0] {
                     ConvKernel::Direct(_) => "direct",
                     ConvKernel::Winograd(_) => "winograd",
                     ConvKernel::Sparse(_) => "sparse",
@@ -939,7 +915,7 @@ impl<'n> NetworkExecutor<'n> {
                 _ => {}
             }
             match conv {
-                Some((c, conv)) => run_conv(cur, c, &conv.kernels, in_channels, &ctx),
+                Some((c, conv)) => run_conv(cur, c, conv.rung(false), in_channels, &ctx),
                 None => self.exec_simple(i, layer, cur, &ctx),
             }
         };
@@ -958,9 +934,9 @@ impl<'n> NetworkExecutor<'n> {
             Ok(y) => Ok(y),
         };
         let fallback = conv
-            .filter(|(_, conv)| !conv.fallback.is_empty())
+            .filter(|(_, conv)| conv.has_fallback())
             .map(|(c, conv)| {
-                let rung = || run_conv(cur, c, &conv.fallback, in_channels, &ctx);
+                let rung = || run_conv(cur, c, conv.rung(true), in_channels, &ctx);
                 ("direct", rung)
             });
         run_ladder(
