@@ -40,34 +40,8 @@ impl TransformedFilters {
     /// Returns [`ConvError::ShapeMismatch`] when the kernel spatial size is
     /// not `r × r`.
     pub fn new(kernels: &Tensor<f32>, transform: &WinogradTransform) -> Result<Self, ConvError> {
-        let r = transform.r();
-        if kernels.h() != r || kernels.w() != r {
-            return Err(ConvError::ShapeMismatch {
-                expected: format!("{r}x{r} kernels for F({},{})", transform.m(), r),
-                found: format!("{}x{}", kernels.h(), kernels.w()),
-            });
-        }
-        let g = transform.g_f32();
-        let g_t = g.transpose();
-        let alpha = transform.alpha();
-        // Scratch for the G·g and g itself is hoisted out of the channel
-        // loop: the only per-(n, c) allocation is the stored bank.
-        let mut gk = Mat::<f32>::zeros(r, r);
-        let mut g_gk = Mat::<f32>::zeros(alpha, r);
         let mut banks = Vec::with_capacity(kernels.n() * kernels.c());
-        for n in 0..kernels.n() {
-            for c in 0..kernels.c() {
-                for u in 0..r {
-                    for v in 0..r {
-                        gk.set(u, v, kernels.get(n, c, u, v));
-                    }
-                }
-                g.mul_into(&gk, &mut g_gk);
-                let mut bank = Mat::<f32>::zeros(alpha, alpha);
-                g_gk.mul_into(&g_t, &mut bank);
-                banks.push(bank);
-            }
-        }
+        for_each_bank(kernels, transform, |_, _, bank| banks.push(bank.clone()))?;
         Ok(TransformedFilters {
             alpha: transform.alpha(),
             out_c: kernels.n(),
@@ -90,6 +64,47 @@ impl TransformedFilters {
     pub fn alpha(&self) -> usize {
         self.alpha
     }
+}
+
+/// Computes `G·g·Gᵀ` for every (output channel `n`, input channel `c`)
+/// kernel `g` of `kernels` in `(n, c)` order, handing each `α×α` result to
+/// `sink(n, c, bank)`; the only buffers are three reused scratch matrices.
+///
+/// # Errors
+///
+/// Returns [`ConvError::ShapeMismatch`] when the kernel spatial size is
+/// not `r × r`.
+fn for_each_bank(
+    kernels: &Tensor<f32>,
+    transform: &WinogradTransform,
+    mut sink: impl FnMut(usize, usize, &Mat<f32>),
+) -> Result<(), ConvError> {
+    let r = transform.r();
+    if kernels.h() != r || kernels.w() != r {
+        return Err(ConvError::ShapeMismatch {
+            expected: format!("{r}x{r} kernels for F({},{})", transform.m(), r),
+            found: format!("{}x{}", kernels.h(), kernels.w()),
+        });
+    }
+    let g = transform.g_f32();
+    let g_t = g.transpose();
+    let alpha = transform.alpha();
+    let mut gk = Mat::<f32>::zeros(r, r);
+    let mut g_gk = Mat::<f32>::zeros(alpha, r);
+    let mut bank = Mat::<f32>::zeros(alpha, alpha);
+    for n in 0..kernels.n() {
+        for c in 0..kernels.c() {
+            for u in 0..r {
+                for v in 0..r {
+                    gk.set(u, v, kernels.get(n, c, u, v));
+                }
+            }
+            g.mul_into(&gk, &mut g_gk);
+            g_gk.mul_into(&g_t, &mut bank);
+            sink(n, c, &bank);
+        }
+    }
+    Ok(())
 }
 
 /// Winograd convolution with an explicit transform (any generated
@@ -316,21 +331,18 @@ impl BatchedFilters {
     ///
     /// Same conditions as [`TransformedFilters::new`].
     pub fn new(kernels: &Tensor<f32>, transform: &WinogradTransform) -> Result<Self, ConvError> {
-        let banks = TransformedFilters::new(kernels, transform)?;
         let (out_c, in_c) = (kernels.n(), kernels.c());
         let alpha = transform.alpha();
-        // Every plane, `[uv][k·in_c + c]`, gathered in one pass over the
-        // banks; the buffer lives only until its planes are packed.
+        // Every plane, `[uv][k·in_c + c]`, scattered straight from each
+        // transformed kernel; the buffer lives only until its planes are
+        // packed.
         let nc = out_c * in_c;
         let mut planes = vec![0.0f32; alpha * alpha * nc];
-        for k in 0..out_c {
-            for c in 0..in_c {
-                let bank = banks.bank(k, c).as_slice();
-                for (uv, &u) in bank.iter().enumerate() {
-                    planes[uv * nc + k * in_c + c] = u;
-                }
+        for_each_bank(kernels, transform, |k, c, bank| {
+            for (uv, &u) in bank.as_slice().iter().enumerate() {
+                planes[uv * nc + k * in_c + c] = u;
             }
-        }
+        })?;
         let blocking = GemmBlocking::default();
         let packed = (0..alpha * alpha)
             .map(|uv| PackedA::pack(&planes[uv * nc..(uv + 1) * nc], out_c, in_c, blocking))
