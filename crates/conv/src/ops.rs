@@ -6,6 +6,7 @@
 //! convolution, pooling, and local response normalization").
 
 use crate::gemm::{ConvPhase, ConvStats};
+use crate::kernel::ExecCtx;
 use crate::microkernel::KernelChoice;
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
@@ -46,12 +47,7 @@ pub fn pool<T: Scalar + PartialOrd>(
     geom: ConvGeometry,
     kind: PoolKind,
 ) -> Result<Tensor<T>, ConvError> {
-    if input.h() != geom.height() || input.w() != geom.width() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("input {}x{}", geom.height(), geom.width()),
-            found: format!("{}x{}", input.h(), input.w()),
-        });
-    }
+    check_pool_input(input, geom)?;
     let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
     let (oh, ow) = (geom.output_height(), geom.output_width());
     let mut out = Tensor::zeros(input.n(), input.c(), oh, ow);
@@ -106,6 +102,257 @@ pub fn pool<T: Scalar + PartialOrd>(
     Ok(out)
 }
 
+fn check_pool_input<T: Scalar>(input: &Tensor<T>, geom: ConvGeometry) -> Result<(), ConvError> {
+    if input.h() != geom.height() || input.w() != geom.width() {
+        return Err(ConvError::ShapeMismatch {
+            expected: format!("input {}x{}", geom.height(), geom.width()),
+            found: format!("{}x{}", input.h(), input.w()),
+        });
+    }
+    Ok(())
+}
+
+/// Output planes one [`lrn_parallel`] or [`pool_parallel`] job owns at
+/// most (a tuning constant; results never depend on it).
+const PLANES_PER_JOB: usize = 8;
+
+/// Runs a plane-parallel layer on the pool under `ctx.prof.scoped(phase)`.
+/// `out` is `n × c` planes of `plane` elements; each job owns a block of
+/// up to [`PLANES_PER_JOB`] whole planes of one frame and gets
+/// `body(state, first, dst)`, where `first` is the flat
+/// (`frame·c + channel`) index of `dst`'s first plane. With `ctx.stats`,
+/// each job's time is recorded as [`ConvPhase::Gemm`].
+fn run_plane_jobs<T: Send, S>(
+    ctx: &ExecCtx<'_>,
+    phase: &str,
+    out: &mut [T],
+    (c, plane): (usize, usize),
+    init: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) -> Result<(), ConvError> {
+    if c == 0 || plane == 0 {
+        return Ok(());
+    }
+    let firsts: Vec<usize> = (0..out.len() / plane)
+        .filter(|p| (p % c).is_multiple_of(PLANES_PER_JOB))
+        .collect();
+    let lengths: Vec<usize> = firsts
+        .iter()
+        .map(|&p| PLANES_PER_JOB.min(c - p % c) * plane)
+        .collect();
+    winofuse_runtime::run_sliced_jobs_isolated(
+        winofuse_runtime::resolve_threads(ctx.threads),
+        winofuse_runtime::split_lengths(out, &lengths),
+        &ctx.prof.scoped(phase),
+        init,
+        |state, job, dst| {
+            let t0 = ctx.stats.map(|_| Instant::now());
+            body(state, firsts[job], dst);
+            if let (Some(s), Some(t0)) = (ctx.stats, t0) {
+                s.add_phase_ns(ConvPhase::Gemm, t0.elapsed().as_nanos() as u64);
+            }
+        },
+    )?;
+    Ok(())
+}
+
+/// Records a plane-parallel layer's exact work as its one compute phase,
+/// [`ConvPhase::Gemm`] (as [`PackedFc::run`] does).
+fn add_layer_work<T>(stats: Option<&ConvStats>, flops: u64, elements: usize) {
+    if let Some(s) = stats {
+        s.add_phase(
+            ConvPhase::Gemm,
+            flops,
+            (elements * std::mem::size_of::<T>()) as u64,
+        );
+    }
+}
+
+/// A pooling layer's window grid, computed once per call.
+struct PoolGrid {
+    /// Per output row, then per output column: the first in-bounds input
+    /// index and the number of in-bounds taps (`(0, 0)` for a window
+    /// wholly in the padding).
+    rows: Vec<(usize, usize)>,
+    cols: Vec<(usize, usize)>,
+    /// Output columns whose windows lie wholly inside the input.
+    inner: std::ops::Range<usize>,
+    kernel: usize,
+    stride: usize,
+}
+
+impl PoolGrid {
+    fn new(geom: ConvGeometry) -> Self {
+        let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad());
+        let spans = |out_len: usize, in_len: usize| -> Vec<(usize, usize)> {
+            (0..out_len)
+                .map(|o| {
+                    // Padded coordinates: taps `o·s..o·s + k`, input at
+                    // `pad..in_len + pad`.
+                    let lo = (o * s).max(pad);
+                    let hi = (o * s + k).min(in_len + pad);
+                    if hi > lo {
+                        (lo - pad, hi - lo)
+                    } else {
+                        (0, 0)
+                    }
+                })
+                .collect()
+        };
+        let cols = spans(geom.output_width(), geom.width());
+        let first = cols.iter().position(|&(_, t)| t == k).unwrap_or(0);
+        let last = cols.iter().rposition(|&(_, t)| t == k).map_or(0, |j| j + 1);
+        PoolGrid {
+            rows: spans(geom.output_height(), geom.height()),
+            cols,
+            inner: first..last.max(first),
+            kernel: k,
+            stride: s,
+        }
+    }
+
+    /// Pools one plane (`src`, rows of `w`) into `dst`. Every output folds
+    /// its in-bounds taps in [`pool`]'s row-major order, one input row at
+    /// a time: columns in `inner` take each tap offset across the whole
+    /// run of windows with no bounds branch, and only border columns walk
+    /// their clipped spans. The max starts from the window's first tap
+    /// (comparing it with itself keeps it), so the `>=` fold and the
+    /// in-bounds average match [`pool`] bit for bit. `sums` holds one
+    /// output row (average only).
+    fn pool_plane<T: Scalar + PartialOrd>(
+        &self,
+        src: &[T],
+        w: usize,
+        kind: PoolKind,
+        sums: &mut [f32],
+        dst: &mut [T],
+    ) {
+        match kind {
+            PoolKind::Max => {
+                for (drow, &(r0, nr)) in dst.chunks_exact_mut(self.cols.len()).zip(&self.rows) {
+                    for (d, &(c0, nc)) in drow.iter_mut().zip(&self.cols) {
+                        *d = if nr * nc == 0 {
+                            T::zero()
+                        } else {
+                            src[r0 * w + c0]
+                        };
+                    }
+                    self.fold_rows(&src[r0 * w..(r0 + nr) * w], w, drow, |acc, v| {
+                        *acc = if *acc >= v { *acc } else { v };
+                    });
+                }
+            }
+            PoolKind::Average => {
+                for (drow, &(r0, nr)) in dst.chunks_exact_mut(self.cols.len()).zip(&self.rows) {
+                    sums.fill(0.0);
+                    self.fold_rows(&src[r0 * w..(r0 + nr) * w], w, sums, |acc, v: T| {
+                        *acc += v.to_f32();
+                    });
+                    for ((d, &sum), &(_, nc)) in drow.iter_mut().zip(&*sums).zip(&self.cols) {
+                        let count = nr * nc;
+                        *d = if count == 0 {
+                            T::zero()
+                        } else {
+                            T::from_f32(sum / count as f32)
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Folds every tap of one output row's windows (`window` = its
+    /// in-bounds input rows) into `accs`, in row-major tap order per
+    /// output.
+    fn fold_rows<T: Copy, A>(
+        &self,
+        window: &[T],
+        w: usize,
+        accs: &mut [A],
+        fold: impl Fn(&mut A, T),
+    ) {
+        let inner = self.inner.clone();
+        for row in window.chunks_exact(w) {
+            if !inner.is_empty() {
+                let c0 = self.cols[inner.start].0;
+                for v in 0..self.kernel {
+                    let taps = row[c0 + v..].iter().step_by(self.stride);
+                    for (acc, &x) in accs[inner.clone()].iter_mut().zip(taps) {
+                        fold(acc, x);
+                    }
+                }
+            }
+            for j in (0..inner.start).chain(inner.end..self.cols.len()) {
+                let (c0, nc) = self.cols[j];
+                for &x in &row[c0..c0 + nc] {
+                    fold(&mut accs[j], x);
+                }
+            }
+        }
+    }
+
+    /// Exact work per plane: `t − 1` compares (max) or `t` adds and one
+    /// divide (average) per window with `t ≥ 1` in-bounds taps.
+    fn flops_per_plane(&self, kind: PoolKind) -> usize {
+        let taps = |spans: &[(usize, usize)]| spans.iter().map(|&(_, t)| t).sum::<usize>();
+        let live = |spans: &[(usize, usize)]| spans.iter().filter(|&&(_, t)| t > 0).count();
+        let all = taps(&self.rows) * taps(&self.cols);
+        let windows = live(&self.rows) * live(&self.cols);
+        match kind {
+            PoolKind::Max => all - windows,
+            PoolKind::Average => all + windows,
+        }
+    }
+}
+
+/// [`pool`] on the worker pool, bit-identical to it at any thread count.
+///
+/// Each job pools a block of whole output planes of one frame, reading
+/// contiguous input planes. Jobs run under `ctx.prof.scoped("pool")`, so
+/// the fault site is `pool.<label>/pool` and retries and the deadline
+/// follow the profiler's guard.
+///
+/// With `ctx.stats`, the exact work lands in [`ConvPhase::Gemm`]: per
+/// output with `t ≥ 1` in-bounds taps, `t − 1` compares (max) or `t`
+/// adds and one divide (average), and nothing for an all-padding
+/// window; bytes are the input read once and the output written once.
+///
+/// # Errors
+///
+/// [`ConvError::ShapeMismatch`] when `input` disagrees with `geom`, and
+/// [`ConvError::KernelFault`] when a pool job faults.
+pub fn pool_parallel<T: Scalar + PartialOrd + Send + Sync>(
+    input: &Tensor<T>,
+    geom: ConvGeometry,
+    kind: PoolKind,
+    ctx: &ExecCtx<'_>,
+) -> Result<Tensor<T>, ConvError> {
+    check_pool_input(input, geom)?;
+    let grid = PoolGrid::new(geom);
+    let (oh, ow) = (geom.output_height(), geom.output_width());
+    let (c, w, plane) = (input.c(), input.w(), input.h() * input.w());
+    let mut out = Tensor::zeros(input.n(), c, oh, ow);
+    let x = input.as_slice();
+    run_plane_jobs(
+        ctx,
+        "pool",
+        out.as_mut_slice(),
+        (c, oh * ow),
+        || match kind {
+            PoolKind::Max => Vec::new(),
+            PoolKind::Average => vec![0.0f32; ow],
+        },
+        |sums, first, dst| {
+            for (p, d) in (first..).zip(dst.chunks_exact_mut(oh * ow)) {
+                grid.pool_plane(&x[p * plane..][..plane], w, kind, sums, d);
+            }
+        },
+    )?;
+    let flops = input.n() * c * grid.flops_per_plane(kind);
+    add_layer_work::<T>(ctx.stats, flops as u64, input.len() + out.len());
+    Ok(out)
+}
+
 /// Rectified linear unit applied element-wise: `max(x, 0)`.
 ///
 /// The paper integrates ReLU into the preceding convolutional layer
@@ -150,6 +397,17 @@ impl Default for LrnParams {
     }
 }
 
+/// The LRN window must have a center channel.
+fn check_local_size(params: &LrnParams) -> Result<(), ConvError> {
+    if params.local_size == 0 || params.local_size.is_multiple_of(2) {
+        return Err(ConvError::InvalidGeometry(format!(
+            "lrn local_size must be odd and nonzero, got {}",
+            params.local_size
+        )));
+    }
+    Ok(())
+}
+
 /// Cross-channel local response normalization (computed in `f32`).
 ///
 /// # Errors
@@ -157,12 +415,7 @@ impl Default for LrnParams {
 /// Returns [`ConvError::InvalidGeometry`] when `local_size` is zero or
 /// even (the window must have a center channel).
 pub fn lrn<T: Scalar>(input: &Tensor<T>, params: LrnParams) -> Result<Tensor<T>, ConvError> {
-    if params.local_size == 0 || params.local_size.is_multiple_of(2) {
-        return Err(ConvError::InvalidGeometry(format!(
-            "lrn local_size must be odd and nonzero, got {}",
-            params.local_size
-        )));
-    }
+    check_local_size(&params)?;
     let half = (params.local_size / 2) as isize;
     let mut out = Tensor::zeros(input.n(), input.c(), input.h(), input.w());
     for b in 0..input.n() {
@@ -186,6 +439,99 @@ pub fn lrn<T: Scalar>(input: &Tensor<T>, params: LrnParams) -> Result<Tensor<T>,
             }
         }
     }
+    Ok(out)
+}
+
+/// Positions of one channel row [`lrn_span`] sums at a time, on the stack.
+const LRN_LANES: usize = 64;
+
+/// The per-element sequence of [`lrn`] for output channels
+/// `c0..c0 + out.len() / stride` of one frame. `input` holds all of the
+/// frame's channels, `stride` elements apart: `H·W` for NCHW planes, `W`
+/// for one `[channel][w]` row of a line buffer.
+///
+/// Each output sums the squares of its in-range window channels in
+/// ascending order from `0.0`, then divides by
+/// `(k + α/n·Σ).powf(β)`, all in `f32` — the oracle's exact operations,
+/// so the result is bit-identical to [`lrn`]. The sums run across 64
+/// positions of a channel row at a time, which vectorizes; the `powf`
+/// stays scalar. `local_size` is not checked here ([`lrn`] and
+/// [`lrn_parallel`] reject an even one).
+pub fn lrn_span<T: Scalar>(
+    input: &[T],
+    stride: usize,
+    params: &LrnParams,
+    c0: usize,
+    out: &mut [T],
+) {
+    if stride == 0 {
+        return;
+    }
+    let channels = input.len() / stride;
+    let half = params.local_size / 2;
+    let scale = params.alpha / params.local_size as f32;
+    let mut sum_sq = [0.0f32; LRN_LANES];
+    for (c, dst) in (c0..).zip(out.chunks_exact_mut(stride)) {
+        let window = c.saturating_sub(half)..(c + half + 1).min(channels);
+        for (w0, dst) in (0..).step_by(LRN_LANES).zip(dst.chunks_mut(LRN_LANES)) {
+            let sums = &mut sum_sq[..dst.len()];
+            sums.fill(0.0);
+            for cc in window.clone() {
+                for (s, &v) in sums.iter_mut().zip(&input[cc * stride + w0..]) {
+                    let v = v.to_f32();
+                    *s += v * v;
+                }
+            }
+            for ((d, &a), &s) in dst.iter_mut().zip(&input[c * stride + w0..]).zip(&*sums) {
+                let denom = (params.k + scale * s).powf(params.beta);
+                *d = T::from_f32(a.to_f32() / denom);
+            }
+        }
+    }
+}
+
+/// [`lrn`] on the worker pool, bit-identical to it at any thread count.
+///
+/// Each job normalizes a block of whole output planes of one frame with
+/// [`lrn_span`], reading contiguous planes. Jobs run under
+/// `ctx.prof.scoped("lrn")`, so the fault site is `pool.<label>/lrn` and
+/// retries and the deadline follow the profiler's guard.
+///
+/// With `ctx.stats`, the exact work lands in [`ConvPhase::Gemm`]: per
+/// output element, 2 flops (square, add) per in-range window channel
+/// plus 4 (scale, bias, `powf` counted as one, divide); bytes are the
+/// input read once and the output written once.
+///
+/// # Errors
+///
+/// [`ConvError::InvalidGeometry`] for an even or zero `local_size`, and
+/// [`ConvError::KernelFault`] when a pool job faults.
+pub fn lrn_parallel<T: Scalar + Send + Sync>(
+    input: &Tensor<T>,
+    params: LrnParams,
+    ctx: &ExecCtx<'_>,
+) -> Result<Tensor<T>, ConvError> {
+    check_local_size(&params)?;
+    let (c, plane) = (input.c(), input.h() * input.w());
+    let mut out = Tensor::zeros(input.n(), c, input.h(), input.w());
+    let x = input.as_slice();
+    run_plane_jobs(
+        ctx,
+        "lrn",
+        out.as_mut_slice(),
+        (c, plane),
+        || (),
+        |(), first, dst| {
+            let frame = &x[first / c * c * plane..][..c * plane];
+            lrn_span(frame, plane, &params, first % c, dst);
+        },
+    )?;
+    let half = params.local_size / 2;
+    let window: usize = (0..c)
+        .map(|ch| (ch + half + 1).min(c) - ch.saturating_sub(half))
+        .sum();
+    let flops = (input.n() * plane * (2 * window + 4 * c)) as u64;
+    add_layer_work::<T>(ctx.stats, flops, 2 * input.len());
     Ok(out)
 }
 

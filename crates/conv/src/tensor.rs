@@ -248,9 +248,20 @@ impl<T: Scalar> Tensor<T> {
             start < end && end <= self.c,
             "invalid channel slice {start}..{end}"
         );
-        Tensor::from_fn(self.n, end - start, self.h, self.w, |n, c, h, w| {
-            self.get(n, start + c, h, w)
-        })
+        let plane = self.h * self.w;
+        let mut data = Vec::with_capacity(self.n * (end - start) * plane);
+        if plane > 0 {
+            for frame in self.data.chunks_exact(self.c * plane) {
+                data.extend_from_slice(&frame[start * plane..end * plane]);
+            }
+        }
+        Tensor {
+            n: self.n,
+            c: end - start,
+            h: self.h,
+            w: self.w,
+            data,
+        }
     }
 
     /// Copies batch/output-channel entries `[start, end)` along the `n`
@@ -265,9 +276,14 @@ impl<T: Scalar> Tensor<T> {
             start < end && end <= self.n,
             "invalid n slice {start}..{end}"
         );
-        Tensor::from_fn(end - start, self.c, self.h, self.w, |n, c, h, w| {
-            self.get(start + n, c, h, w)
-        })
+        let stride = self.c * self.h * self.w;
+        Tensor {
+            n: end - start,
+            c: self.c,
+            h: self.h,
+            w: self.w,
+            data: self.data[start * stride..end * stride].to_vec(),
+        }
     }
 
     /// Writes `src` into channels `[start, start + src.c())` of `self`
@@ -282,14 +298,17 @@ impl<T: Scalar> Tensor<T> {
             src.n() == self.n && src.h() == self.h && src.w() == self.w,
             "shape mismatch in write_channels"
         );
-        for n in 0..src.n() {
-            for c in 0..src.c() {
-                for h in 0..src.h() {
-                    for w in 0..src.w() {
-                        self.set(n, start + c, h, w, src.get(n, c, h, w));
-                    }
-                }
-            }
+        let plane = self.h * self.w;
+        let len = src.c * plane;
+        if len == 0 {
+            return;
+        }
+        for (dst, src) in self
+            .data
+            .chunks_exact_mut(self.c * plane)
+            .zip(src.data.chunks_exact(len))
+        {
+            dst[start * plane..][..len].copy_from_slice(src);
         }
     }
 

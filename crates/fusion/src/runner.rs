@@ -6,10 +6,12 @@
 //! — and fast. Each group streams rows through per-stage line-buffer
 //! windows; convolution stages are strip-mined onto the batched
 //! Winograd-as-GEMM and blocked im2col+GEMM kernels of `winofuse-conv`,
-//! honoring the BnB's per-layer conventional-vs-Winograd choice. Pool,
-//! LRN and ReLU stages replicate the reference operators' exact scalar
-//! sequences so outputs match the layer-by-layer executor bit-for-bit in
-//! fixed point (and within float tolerance in `f32`).
+//! honoring the BnB's per-layer conventional-vs-Winograd choice. Pool and
+//! ReLU stages replicate the reference operators' exact scalar sequences
+//! and LRN stages run the executor's LRN body
+//! ([`winofuse_conv::ops::lrn_span`]) on each row, so outputs match the
+//! layer-by-layer executor bit-for-bit in fixed point (and within float
+//! tolerance in `f32`).
 //!
 //! The runner also *meters* DRAM traffic while it streams: input rows in,
 //! output rows out, one weight stream per convolution (transformed α²
@@ -29,11 +31,11 @@ use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::direct;
 use winofuse_conv::fixed::{saturation_count, Fix16};
 use winofuse_conv::kernel::{ConvKernel, ExecCtx, KernelAlgo, PreparedConv};
-use winofuse_conv::ops::PoolKind;
+use winofuse_conv::ops::{self, LrnParams, PoolKind};
 use winofuse_conv::tensor::{Scalar, Tensor};
 use winofuse_conv::ConvGeometry;
 use winofuse_fpga::engine::Algorithm;
-use winofuse_model::layer::{ConvParams, LayerKind, LrnSpec, PoolParams};
+use winofuse_model::layer::{ConvParams, LayerKind, PoolParams};
 use winofuse_model::network::Network;
 use winofuse_model::runtime::{LayerWeights, NetworkWeights};
 use winofuse_model::shape::{DataType, FmShape};
@@ -193,7 +195,7 @@ struct ConvStage {
 enum StageOp {
     Conv(ConvStage),
     Pool(PoolParams),
-    Lrn(LrnSpec),
+    Lrn(LrnParams),
     Relu,
 }
 
@@ -365,7 +367,7 @@ impl FusedGroupRunner {
                     (c.pad, StageOp::Conv(conv), strip)
                 }
                 LayerKind::Pool(p) => (p.pad, StageOp::Pool(*p), 1),
-                LayerKind::Lrn(spec) => (0, StageOp::Lrn(*spec), 1),
+                LayerKind::Lrn(spec) => (0, StageOp::Lrn((*spec).into()), 1),
                 LayerKind::Relu => (0, StageOp::Relu, 1),
                 other => {
                     return Err(FusionError::InvalidGroup(format!(
@@ -810,10 +812,13 @@ impl FusedGroupRunner {
                 }
                 Ok(rows)
             }
-            StageOp::Lrn(spec) => {
+            StageOp::Lrn(params) => {
                 let mut rows = Vec::with_capacity(o1 - o0);
                 for o in o0..o1 {
-                    rows.push(lrn_row(st, spec, row_at(o)?));
+                    let input_row = row_at(o)?;
+                    let mut row = vec![T::zero(); input_row.len()];
+                    ops::lrn_span(input_row, st.input.width, params, 0, &mut row);
+                    rows.push(row);
                 }
                 Ok(rows)
             }
@@ -1054,32 +1059,6 @@ fn pool_row<'w, T: RunnerElement + 'w>(
         }
     }
     Ok(row)
-}
-
-/// One LRN output row, replicating [`winofuse_conv::ops::lrn`]'s exact
-/// per-element `f32` sequence (cross-channel sum in ascending offset
-/// order, then `powf` and re-round).
-fn lrn_row<T: RunnerElement>(st: &RunnerStage, spec: &LrnSpec, input_row: &[T]) -> Vec<T> {
-    let (channels, width) = (st.input.channels, st.input.width);
-    let half = (spec.local_size / 2) as isize;
-    let mut row = vec![T::zero(); channels * width];
-    for ch in 0..channels {
-        for w in 0..width {
-            let mut sum_sq = 0.0f32;
-            for dc in -half..=half {
-                let cc = ch as isize + dc;
-                if cc < 0 || cc as usize >= channels {
-                    continue;
-                }
-                let v = input_row[cc as usize * width + w].to_f32();
-                sum_sq += v * v;
-            }
-            let denom = (spec.k + spec.alpha / spec.local_size as f32 * sum_sq).powf(spec.beta);
-            let a = input_row[ch * width + w].to_f32();
-            row[ch * width + w] = T::from_f32(a / denom);
-        }
-    }
-    row
 }
 
 /// One fusion group of an execution plan, as handed to

@@ -211,12 +211,7 @@ impl StageState {
                 }
             }
             LayerKind::Lrn(spec) => {
-                let params = LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                };
+                let params = LrnParams::from(*spec);
                 let half = (params.local_size / 2) as isize;
                 for ch in 0..out_c {
                     for w in 0..out_w {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use winofuse_conv::ops::PoolKind;
+use winofuse_conv::ops::{LrnParams, PoolKind};
 
 use crate::shape::FmShape;
 use crate::ModelError;
@@ -124,6 +124,17 @@ impl Default for LrnSpec {
             alpha: 1e-4,
             beta: 0.75,
             k: 2.0,
+        }
+    }
+}
+
+impl From<LrnSpec> for LrnParams {
+    fn from(spec: LrnSpec) -> Self {
+        LrnParams {
+            local_size: spec.local_size,
+            alpha: spec.alpha,
+            beta: spec.beta,
+            k: spec.k,
         }
     }
 }

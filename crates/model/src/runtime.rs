@@ -11,7 +11,7 @@ use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
 use winofuse_conv::kernel::{ConvKernel, ExecCtx, KernelAlgo, PreparedConv};
 use winofuse_conv::microkernel::KernelChoice;
-use winofuse_conv::ops::{self, LrnParams, PackedFc};
+use winofuse_conv::ops::{self, PackedFc};
 use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
 use winofuse_runtime::faults::{run_ladder, Failure, FaultInjector, FaultKind, FaultMode};
@@ -325,15 +325,7 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
                 ops::pool(&cur, geom, p.kind)?
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                &cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(spec) => ops::lrn(&cur, (*spec).into())?,
             LayerKind::Relu => ops::relu(&cur),
             LayerKind::Fc(fc) => {
                 let (w, bias) = fc_weights(weights, i, layer, fc, shapes[i])?;
@@ -422,15 +414,7 @@ pub fn forward_fix16(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
                 ops::pool(&cur, geom, p.kind)?
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                &cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(spec) => ops::lrn(&cur, (*spec).into())?,
             LayerKind::Relu => ops::relu(&cur),
             other => {
                 return Err(ModelError::Execution(format!(
@@ -485,9 +469,9 @@ pub struct LayerProfile {
     /// Model-level arithmetic operation count ([`Layer::ops`]) — what
     /// the layer mathematically requires, independent of algorithm.
     pub model_ops: u64,
-    /// Kernel-phase counters recorded while executing this layer (FC
-    /// layers record their GEMM phase; all-zero for pool, LRN, ReLU and
-    /// softmax).
+    /// Kernel-phase counters recorded while executing this layer (FC,
+    /// LRN and pool layers record their work as the GEMM phase; all-zero
+    /// for ReLU and softmax).
     pub conv: ConvProfile,
 }
 
@@ -630,13 +614,14 @@ impl PreparedNetwork {
 }
 
 /// Whole-network fast-path executor: convolutions run through the batched
-/// Winograd / blocked-GEMM kernels of `winofuse-conv` and FC layers
-/// through the packed panel kernel ([`PackedFc`]), both threaded over the
-/// shared `winofuse-runtime` worker pool; pool/LRN/ReLU/softmax reuse the
-/// reference operators. The naive [`forward`] path remains the oracle —
-/// outputs agree within 1e-4 (f32), FC layers match
-/// [`ops::fully_connected`] bit for bit, and the executor is
-/// bit-identical across thread counts.
+/// Winograd / blocked-GEMM kernels of `winofuse-conv`, FC layers through
+/// the packed panel kernel ([`PackedFc`]), and LRN and pooling as jobs of
+/// whole planes ([`ops::lrn_parallel`], [`ops::pool_parallel`]), all
+/// threaded over the shared `winofuse-runtime` worker pool; ReLU and
+/// softmax reuse the reference operators. The naive [`forward`] path
+/// remains the oracle — outputs agree within 1e-4 (f32), FC, LRN and
+/// pool layers match their `ops` oracles bit for bit, and the executor
+/// is bit-identical across thread counts.
 ///
 /// # Examples
 ///
@@ -881,9 +866,10 @@ impl<'n> NetworkExecutor<'n> {
     /// `exec.fallbacks` / `exec.fallbacks.<reason>`. In strict mode, on a
     /// direct layer, or when the direct rung itself faults it surfaces as
     /// [`ModelError::KernelFault`]. Non-conv layers have no alternate
-    /// rung: a caught panic or injected fault is a `KernelFault` in either
-    /// mode, and their other errors propagate untouched. FC work lands in
-    /// `stats` as the GEMM phase.
+    /// rung: a caught panic, pool job fault or injected fault is a
+    /// `KernelFault` naming the layer in either mode, and their other
+    /// errors propagate untouched. FC, LRN and pool work lands in `stats`
+    /// as the GEMM phase.
     fn exec_layer(
         &self,
         i: usize,
@@ -920,9 +906,10 @@ impl<'n> NetworkExecutor<'n> {
             }
         };
         let classify = |result| match result {
-            // Only a conv layer's faults are absorbable; shape mismatches
-            // etc. are not recoverable by switching algorithms.
-            Err(ModelError::KernelFault { reason, .. }) if conv.is_some() => {
+            // Kernel faults go up the ladder, which has a rung only for
+            // conv layers; shape mismatches etc. are not recoverable by
+            // switching algorithms.
+            Err(ModelError::KernelFault { reason, .. }) => {
                 let class = if reason.contains("saturation") {
                     "saturation"
                 } else {
@@ -965,17 +952,9 @@ impl<'n> NetworkExecutor<'n> {
             }
             LayerKind::Pool(p) => {
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
-                ops::pool(cur, geom, p.kind)?
+                ops::pool_parallel(cur, geom, p.kind, ctx)?
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(spec) => ops::lrn_parallel(cur, (*spec).into(), ctx)?,
             LayerKind::Relu => ops::relu(cur),
             LayerKind::Fc(fc) => {
                 let PreparedLayer::Fc(packed) = &self.prepared.layers[i] else {
@@ -1313,6 +1292,12 @@ mod tests {
                     p.algo
                 );
                 assert!(p.achieved_gflops().is_some());
+            } else if p.kind == "pool" {
+                // 2x2 max pool over 16x16x16: 3 compares per output.
+                assert_eq!(p.conv.total_flops(), 3 * 16 * 8 * 8, "`{}` flops", p.name);
+                assert_eq!(p.conv.total_bytes(), 4 * 16 * (16 * 16 + 8 * 8));
+                assert!(p.achieved_gflops().is_some());
+                assert_eq!(p.algo, "-");
             } else {
                 assert_eq!(
                     p.conv.total_flops(),

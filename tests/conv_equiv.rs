@@ -20,8 +20,8 @@ use winofuse::conv::tensor::{random_tensor, Tensor};
 use winofuse::conv::winograd::{self, BatchedFilters, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
 use winofuse::model::runtime::{LayerWeights, NetworkExecutor, NetworkWeights};
-use winofuse::model::{ConvParams, FcParams, FmShape, LayerKind, Network, PoolParams};
-use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector};
+use winofuse::model::{ConvParams, FcParams, FmShape, LayerKind, ModelError, Network, PoolParams};
+use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
 use winofuse::runtime::{GuardPolicy, PoolProfiler};
 use winofuse::telemetry::Telemetry;
 
@@ -561,6 +561,179 @@ fn packed_fc_job_panic_recovers_through_retry() {
         .run(&x, 2, None, &prof, KernelChoice::auto())
         .expect("one retry must absorb the panic");
     assert_eq!(y, oracle, "retried fc job changed the output");
+    let s = tel.summary();
+    assert_eq!(s.counter("pool.job_panics"), 1);
+    assert_eq!(s.counter("pool.job_retries"), 1);
+}
+
+/// Element bit patterns, so `-0.0`/`0.0` and NaN payloads count.
+fn bits(t: &Tensor<f32>) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pooled LRN and pooling kernels at 1/2/4/8 threads are bitwise
+    /// equal to `ops::lrn` / `ops::pool`. Channel counts cross the job
+    /// block, `pad = 1` with `kernel = 1` makes windows that are all
+    /// padding, and `negative` pushes every input below zero (a max pool
+    /// that counted padding as zero would return 0).
+    #[test]
+    fn pooled_lrn_and_pool_match_oracles_bitwise(
+        (batch, channels) in (1usize..10, 1usize..101),
+        (h, w) in (1usize..24, 1usize..24),
+        local_idx in 0usize..4,
+        (alpha, beta, lrn_k) in (1e-4f32..2.0, 0.5f32..1.0, 1.0f32..2.0),
+        (kernel, stride, pad) in (1usize..4, 1usize..4, 0usize..2),
+        negative in prop::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let mut x = random_tensor(batch, channels, h, w, seed);
+        if negative {
+            for v in x.as_mut_slice() {
+                *v = -v.abs() - 0.25;
+            }
+        }
+        let params = ops::LrnParams {
+            local_size: [1, 3, 5, 7][local_idx],
+            alpha,
+            beta,
+            k: lrn_k,
+        };
+        let lrn = bits(&ops::lrn(&x, params).unwrap());
+        let geom = ConvGeometry::rect(h, w, kernel, stride, pad);
+        for threads in THREADS {
+            let ctx = ExecCtx::new(threads);
+            let y = ops::lrn_parallel(&x, params, &ctx).unwrap();
+            prop_assert!(bits(&y) == lrn, "lrn differs at {} threads", threads);
+            let Ok(geom) = geom else { continue };
+            for kind in [ops::PoolKind::Max, ops::PoolKind::Average] {
+                let want = ops::pool(&x, geom, kind).unwrap();
+                let y = ops::pool_parallel(&x, geom, kind, &ctx).unwrap();
+                prop_assert!(
+                    bits(&y) == bits(&want),
+                    "{:?} pool k{} s{} p{} differs at {} threads", kind, kernel, stride, pad, threads
+                );
+            }
+        }
+        // fix16 takes the same bodies.
+        let xf: Tensor<Fix16> = x.cast();
+        let ctx = ExecCtx::new(2);
+        prop_assert_eq!(ops::lrn_parallel(&xf, params, &ctx).unwrap(), ops::lrn(&xf, params).unwrap());
+        if let Ok(geom) = geom {
+            let kind = ops::PoolKind::Max;
+            prop_assert_eq!(
+                ops::pool_parallel(&xf, geom, kind, &ctx).unwrap(),
+                ops::pool(&xf, geom, kind).unwrap()
+            );
+        }
+    }
+}
+
+/// Windows wholly in the padding produce 0 for both pool kinds, like the
+/// oracle (and no out-of-range read).
+#[test]
+fn pooled_all_padding_windows_match_oracle() {
+    let x = Tensor::filled(2, 3, 2, 3, -1.5f32);
+    for (k, s, pad) in [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 3, 2)] {
+        let geom = ConvGeometry::rect(2, 3, k, s, pad).unwrap();
+        for kind in [ops::PoolKind::Max, ops::PoolKind::Average] {
+            let want = ops::pool(&x, geom, kind).unwrap();
+            assert!(
+                want.as_slice().contains(&0.0),
+                "k{k} s{s} p{pad} has no empty window"
+            );
+            let y = ops::pool_parallel(&x, geom, kind, &ExecCtx::new(2)).unwrap();
+            assert_eq!(bits(&y), bits(&want), "{kind:?} k{k} s{s} p{pad}");
+        }
+    }
+}
+
+/// conv → LRN → pool: the executor's LRN and pool layers equal their
+/// `ops` oracles on its own previous outputs and are bit-identical at
+/// every thread count; their pool jobs are fault sites whose panics
+/// surface as typed faults naming the layer in both fault modes, and a
+/// retried panic rewrites its planes exactly.
+#[test]
+fn executor_lrn_and_pool_layers_match_oracles_and_fault_cleanly() {
+    install_quiet_panic_hook();
+    let net = winofuse::model::zoo::mixed_test_net();
+    let weights = NetworkWeights::random(&net, 81).expect("weights");
+    let x = random_tensor(3, 4, 24, 24, 82);
+    let exec = |threads: usize| {
+        NetworkExecutor::new(&net, &weights)
+            .expect("executor")
+            .with_threads(threads)
+    };
+    let base = exec(1).run_all(&x).expect("run");
+    let mut checked = 0;
+    for (i, layer) in net.layers().iter().enumerate() {
+        let want = match &layer.kind {
+            LayerKind::Lrn(spec) => ops::lrn(&base[i - 1], (*spec).into()).unwrap(),
+            LayerKind::Pool(p) => {
+                let prev = &base[i - 1];
+                let geom = ConvGeometry::rect(prev.h(), prev.w(), p.kernel, p.stride, p.pad);
+                ops::pool(prev, geom.unwrap(), p.kind).unwrap()
+            }
+            _ => continue,
+        };
+        assert_eq!(
+            bits(&base[i]),
+            bits(&want),
+            "`{}` differs from its oracle",
+            layer.name
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 3, "norm1, pool1 and pool2");
+    for threads in THREADS {
+        let outs = exec(threads).run_all(&x).expect("run");
+        assert!(
+            outs.iter().zip(&base).all(|(a, b)| bits(a) == bits(b)),
+            "outputs differ at {threads} threads"
+        );
+    }
+
+    for (site, layer) in [
+        ("pool.norm1/lrn#1", "norm1"),
+        ("pool.pool1/pool#1", "pool1"),
+    ] {
+        for mode in [FaultMode::Strict, FaultMode::Lenient] {
+            let faulty = exec(2)
+                .with_faults(FaultInjector::parse(&format!("panic@{site}")).expect("spec"))
+                .with_fault_mode(mode)
+                .run_all(&x);
+            match faulty {
+                Err(ModelError::KernelFault { layer: l, .. }) => {
+                    assert_eq!(l, layer, "{site} in {mode:?} mode")
+                }
+                other => panic!("{site} in {mode:?} mode: expected KernelFault, got {other:?}"),
+            }
+        }
+    }
+
+    // The norm1 layer's pool jobs with one retry: the panicking job runs
+    // again and the output is the oracle's.
+    let LayerKind::Lrn(spec) = net.layers()[1].kind else {
+        panic!("layer 1 of the mixed net is norm1");
+    };
+    let tel = Telemetry::enabled();
+    let ctx = ExecCtx {
+        prof: PoolProfiler::new(tel.clone(), "norm1")
+            .with_faults(FaultInjector::parse("panic@pool.norm1/lrn#1").expect("spec"))
+            .with_guard(GuardPolicy {
+                retries: 1,
+                deadline: None,
+            }),
+        ..ExecCtx::new(2)
+    };
+    let y = ops::lrn_parallel(&base[0], spec.into(), &ctx).expect("one retry absorbs the panic");
+    assert_eq!(
+        bits(&y),
+        bits(&base[1]),
+        "retried lrn job changed the output"
+    );
     let s = tel.summary();
     assert_eq!(s.counter("pool.job_panics"), 1);
     assert_eq!(s.counter("pool.job_retries"), 1);
